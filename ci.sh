@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI for the fiveg-wild workspace.
 #
-# Runs the tier-1 verification (release build + full test suite) plus the
-# clippy lint gate. Everything here works with zero network access: the
+# Runs the tier-1 release build, every crate's tests (root integration
+# tests plus each workspace crate's unit tests) and the clippy lint gate. Everything here works with zero network access: the
 # workspace has no external dependencies (see the note in Cargo.toml), so
 # `--offline` is enforced to catch any accidental registry dependency.
 set -euo pipefail
@@ -11,8 +11,8 @@ cd "$(dirname "$0")"
 echo "==> tier-1: cargo build --release"
 cargo build --release --offline
 
-echo "==> tier-1: cargo test -q"
-cargo test -q --offline
+echo "==> tests: cargo test --workspace -q"
+cargo test --workspace -q --offline
 
 echo "==> lint: cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -18,10 +18,6 @@ use fiveg_video::predictor::{ContextGbdtPredictor, HarmonicMeanPredictor, Oracle
 const EVAL_TRACES: usize = 24;
 
 struct Corpora {
-    /// Kept for symmetry with the 4G split (fig18a re-derives its
-    /// training pairs with RSRP context directly from the generator).
-    #[allow(dead_code)]
-    g5_train: Vec<BandwidthTrace>,
     g5_eval: Vec<BandwidthTrace>,
     g4_train: Vec<BandwidthTrace>,
     g4_eval: Vec<BandwidthTrace>,
@@ -29,12 +25,14 @@ struct Corpora {
 
 fn corpora(seed: u64) -> Corpora {
     let gen = TraceGenerator::new(seed);
+    // The 5G evaluation set is the tail of a 60-trace corpus, as for 4G;
+    // its head goes unused (fig18a re-derives its training pairs with
+    // RSRP context directly from the generator).
     let mut g5 = gen.lumos5g_corpus(60);
     let mut g4 = gen.lte_corpus(60);
     let g5_eval = g5.split_off(g5.len() - EVAL_TRACES);
     let g4_eval = g4.split_off(g4.len() - EVAL_TRACES);
     Corpora {
-        g5_train: g5,
         g5_eval,
         g4_train: g4,
         g4_eval,

@@ -16,13 +16,12 @@
 //! volatile radios are the whole point of bonding, and the wobble is what
 //! de-correlates independent links' delay series so SBD has a signal.
 
-use crate::bbr::{Bbr, WindowedMax};
-use crate::nada::Nada;
+use crate::bbr::WindowedMax;
 use crate::path::PathModel;
+use crate::rate::Controller;
+use crate::step::{self, Ledger, Rto, Timeout};
 use crate::tcp::{step_loss_probability, CcAlgo};
-use fiveg_simcore::faults::{self, FaultKind};
-use fiveg_simcore::recovery::{self, RecoveryKind};
-use fiveg_simcore::{budget, guard, telemetry, RngStream};
+use fiveg_simcore::{guard, telemetry, RngStream};
 
 /// DWRR chunk size: one MSS of bits.
 const CHUNK_BITS: f64 = 1460.0 * 8.0;
@@ -98,48 +97,6 @@ impl BondResult {
     }
 }
 
-/// The aggregate pacing controller.
-enum BondController {
-    Bbr(Bbr),
-    Nada(Nada),
-}
-
-impl BondController {
-    fn new(algo: CcAlgo, init_rate_mbps: f64) -> BondController {
-        match algo {
-            CcAlgo::Bbr => BondController::Bbr(Bbr::new(init_rate_mbps)),
-            CcAlgo::Nada => BondController::Nada(Nada::new(init_rate_mbps)),
-            _ => panic!("bonded transport requires a rate-based controller (bbr or nada)"),
-        }
-    }
-
-    fn rate_mbps(&self, mss_bytes: f64, rtt_s: f64) -> f64 {
-        match self {
-            BondController::Bbr(b) => b
-                .pacing_rate_mbps()
-                .min(b.cwnd_rate_cap_mbps(mss_bytes, rtt_s)),
-            BondController::Nada(n) => n.rate_mbps(),
-        }
-    }
-
-    fn on_sample(&mut self, t: f64, delivered_mbps: f64, rtt_s: f64, qdelay_s: f64, p_loss: f64) {
-        match self {
-            BondController::Bbr(b) => b.on_sample(t, delivered_mbps, rtt_s, qdelay_s),
-            BondController::Nada(n) => {
-                n.on_loss_ratio_sample(p_loss);
-                n.on_feedback(t, qdelay_s * 1e3, rtt_s * 1e3);
-            }
-        }
-    }
-
-    fn on_rto(&mut self, t: f64) {
-        match self {
-            BondController::Bbr(b) => b.on_rto(t),
-            BondController::Nada(n) => *n = Nada::new(crate::nada::RMIN_MBPS),
-        }
-    }
-}
-
 /// A bonded simulation over `cfg.links`.
 pub struct BondedSim {
     cfg: BondedConfig,
@@ -174,7 +131,7 @@ impl BondedSim {
         let base_rtts: Vec<f64> = self.cfg.links.iter().map(|l| l.rtt_ms / 1e3).collect();
         let min_rtt = base_rtts.iter().cloned().fold(f64::INFINITY, f64::min);
         let init_rate = 10.0 * mss * 8.0 / 1e6 / min_rtt;
-        let mut ctrl = BondController::new(self.cfg.algo, init_rate);
+        let mut ctrl = Controller::new(self.cfg.algo, init_rate);
 
         let mut backlog = vec![0.0_f64; n];
         let mut shared_backlog = 0.0_f64;
@@ -185,85 +142,31 @@ impl BondedSim {
         let mut delay_series: Vec<Vec<f64>> = vec![Vec::new(); n];
         let mut max_qdelay = 0.0_f64;
         let mut loss_events = 0u64;
-        let mut delivered_mb = 0.0;
-        let mut per_second = Vec::new();
-        let mut second_acc = 0.0;
-        let mut next_second = 1.0;
-        let mut second_start = 0.0;
+        let mut ledger = Ledger::new();
+        let mut rto = Rto::new(min_rtt, "bonded ", "pacing");
         let mut t = 0.0;
-        // RTO state across a stall window (fault plane only).
-        let mut stall_since: Option<f64> = None;
-        let mut rto_s = 0.0;
-        let mut next_rto_at = 0.0;
-        let mut backoffs = 0u32;
-        let mut did_reset = false;
 
         telemetry::clock(0.0);
         let _run_span = telemetry::span("transport/bond/run");
         while t < duration_s {
-            budget::charge(1);
-            telemetry::clock(t);
-            let (rtt_mult, loss_mult, stalled) = if faults::enabled() {
-                (
-                    faults::magnitude(FaultKind::RttSpike, t).map_or(1.0, |m| 1.0 + m.max(0.0)),
-                    faults::magnitude(FaultKind::LossBurst, t).map_or(1.0, |m| m.max(1.0)),
-                    faults::is_active(FaultKind::StallWindow, t),
-                )
-            } else {
-                (1.0, 1.0, false)
-            };
+            let (rtt_mult, loss_mult, stalled) = step::begin(t);
             // The jitter draws happen every step, stalled or not, so the
             // RNG cursor (and thus every later draw) is independent of
             // where fault windows fall relative to steps.
             let jitter: Vec<f64> = (0..n).map(|_| self.rng.normal(0.0, 1.0)).collect();
             if stalled {
-                let since = match stall_since {
-                    Some(s) => s,
-                    None => {
-                        rto_s = (2.0 * min_rtt).max(1.0);
-                        next_rto_at = t + rto_s;
-                        backoffs = 0;
-                        did_reset = false;
-                        stall_since = Some(t);
-                        t
-                    }
-                };
-                if t >= next_rto_at {
-                    backoffs += 1;
-                    telemetry::count("transport/rto", 1);
-                    telemetry::observe("transport/rto_backoff_s", rto_s);
+                let fired = rto.on_stall(t);
+                if fired != Timeout::Pending {
                     ctrl.on_rto(t);
-                    recovery::record(RecoveryKind::TcpRto, t, rto_s, t - since, || {
-                        format!("bonded backoff #{backoffs}, pacing collapsed")
-                    });
-                    if backoffs >= 5 && !did_reset {
-                        did_reset = true;
-                        telemetry::count("transport/conn_reset", 1);
-                        ctrl = BondController::new(self.cfg.algo, init_rate);
-                        recovery::record(RecoveryKind::TcpConnReset, t, rto_s, t - since, || {
-                            format!("bonded reset after {backoffs} backoffs")
-                        });
-                    }
-                    rto_s *= 2.0;
-                    next_rto_at = t + rto_s;
-                    guard::check(
-                        "transport",
-                        "rto-bounds",
-                        rto_s.is_finite() && rto_s >= (2.0 * min_rtt).max(1.0),
-                        t,
-                        || format!("RTO {rto_s}s below the floor after backoff #{backoffs}"),
-                    );
+                }
+                if fired == Timeout::Reset {
+                    ctrl = Controller::new(self.cfg.algo, init_rate);
                 }
                 t += dt;
-                if t >= next_second {
-                    per_second.push(second_acc);
-                    second_acc = 0.0;
-                    next_second += 1.0;
-                    second_start = t;
-                }
+                ledger.tick(t);
                 continue;
             }
-            stall_since = None;
+            rto.clear();
 
             // Per-link effective capacity: radio volatility as a small
             // deterministic jitter stream.
@@ -291,9 +194,7 @@ impl BondedSim {
             // the worst member queueing delay — the conservative signal.
             let agg_qdelay = qdelays.iter().cloned().fold(0.0, f64::max);
             let rtt_s = min_rtt * rtt_mult + agg_qdelay;
-            let rate = ctrl
-                .rate_mbps(mss, rtt_s)
-                .min(self.cfg.wmem_bytes * 8.0 / 1e6 / rtt_s);
+            let rate = ctrl.send_rate_mbps(self.cfg.wmem_bytes, mss, rtt_s);
 
             // DWRR: stripe this step's bits across the links in chunks,
             // quanta proportional to the capacity estimates.
@@ -358,11 +259,7 @@ impl BondedSim {
                 if self.rng.chance(p_step) {
                     telemetry::count("transport/loss", 1);
                     loss_events += 1;
-                    if faults::is_active(FaultKind::LossBurst, t) {
-                        recovery::record(RecoveryKind::TcpFastRetransmit, t, rtt_s, 0.0, || {
-                            format!("bonded link {i}: rate-based repair")
-                        });
-                    }
+                    step::loss_repair(t, rtt_s, || format!("bonded link {i}: rate-based repair"));
                 }
             }
             // Optional shared core bottleneck downstream of the links.
@@ -383,8 +280,7 @@ impl BondedSim {
                 }
                 departs.iter().sum()
             };
-            delivered_mb += step_delivered_bits / 1e6;
-            second_acc += step_delivered_bits / 1e6;
+            ledger.add(step_delivered_bits / 1e6);
 
             // Capacity estimation from what each link actually delivered.
             for i in 0..n {
@@ -405,48 +301,17 @@ impl BondedSim {
             ctrl.on_sample(t, delivered_mbps, rtt_s, agg_qdelay, p_agg);
 
             t += dt;
-            if t >= next_second {
-                per_second.push(second_acc);
-                second_acc = 0.0;
-                next_second += 1.0;
-                second_start = t;
+            if ledger.tick(t) {
                 telemetry::observe("transport/queue_delay_s", agg_qdelay);
                 telemetry::series("transport/bond/split_mbps_t", t, link0_mbps);
             }
         }
 
-        if guard::enabled() {
-            let ledger: f64 = per_second.iter().sum::<f64>() + second_acc;
-            guard::check(
-                "transport",
-                "bytes-conserved",
-                (ledger - delivered_mb).abs() <= 1e-6 * delivered_mb.abs() + 1e-9,
-                duration_s,
-                || format!("per-second ledger {ledger} vs delivered {delivered_mb}"),
-            );
-            guard::non_negative("transport", "goodput", delivered_mb, 0.0, duration_s);
-        }
-        let tail_s = t - second_start;
-        if second_acc > 0.0 && tail_s > 0.0 {
-            per_second.push(second_acc / tail_s);
-        }
-
+        let (mean_mbps, per_second_mbps) = ledger.finish(t, duration_s);
         let (sbd_groups, skew_est, var_est) = sbd_group(&delay_series);
-        guard::in_range(
-            "transport",
-            "sbd-groups-bounds",
-            count_groups(&sbd_groups) as f64,
-            1.0,
-            n as f64,
-            0.0,
-            duration_s,
-        );
-        telemetry::gauge("transport/bond/groups", count_groups(&sbd_groups) as f64);
-        telemetry::gauge("transport/mean_mbps", delivered_mb / duration_s);
-
         let total_link: f64 = delivered_link_mb.iter().sum();
-        BondResult {
-            mean_mbps: delivered_mb / duration_s,
+        let res = BondResult {
+            mean_mbps,
             per_link_mbps: delivered_link_mb.iter().map(|mb| mb / duration_s).collect(),
             per_link_share: delivered_link_mb
                 .iter()
@@ -463,16 +328,21 @@ impl BondedSim {
             var_est,
             max_queue_delay_s: max_qdelay,
             loss_events,
-            per_second_mbps: per_second,
-        }
+            per_second_mbps,
+        };
+        let groups = res.group_count() as f64;
+        guard::in_range(
+            "transport",
+            "sbd-groups-bounds",
+            groups,
+            1.0,
+            n as f64,
+            0.0,
+            duration_s,
+        );
+        telemetry::gauge("transport/bond/groups", groups);
+        res
     }
-}
-
-fn count_groups(groups: &[usize]) -> usize {
-    let mut ids = groups.to_vec();
-    ids.sort_unstable();
-    ids.dedup();
-    ids.len()
 }
 
 /// RFC 8382-style shared-bottleneck detection over per-link delay series:

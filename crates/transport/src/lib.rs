@@ -18,6 +18,11 @@
 //! * [`bond`] — a bonded multi-interface path: DWRR striping across
 //!   4G+5G links with per-link capacity estimation and RFC 8382-style
 //!   shared-bottleneck detection,
+//! * `step` (private) — the run-loop skeleton all three engines share,
+//!   and the one home of the stall/RTO/ledger contract: fault-plane
+//!   sampling, the RFC 6298 stall machine with connection reset, and the
+//!   per-second goodput ledger with its conservation guard and
+//!   partial-tail flush,
 //! * [`udp`] — constant-bit-rate flows (the iPerf3 workloads of §4),
 //! * [`shaper`] — a `tc`-like trace-driven bandwidth shaper used by the
 //!   video experiments.
@@ -28,6 +33,7 @@ pub mod nada;
 pub mod path;
 mod rate;
 pub mod shaper;
+mod step;
 pub mod tcp;
 pub mod udp;
 

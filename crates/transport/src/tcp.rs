@@ -14,9 +14,8 @@
 //! * even a tuned buffer trails UDP because loss recovery keeps biting.
 
 use crate::path::PathModel;
-use fiveg_simcore::faults::{self, FaultKind};
-use fiveg_simcore::recovery::{self, RecoveryKind};
-use fiveg_simcore::{budget, guard, telemetry, RngStream};
+use crate::step::{self, Ledger, Rto, Timeout};
+use fiveg_simcore::{guard, telemetry, RngStream};
 
 /// Congestion-control algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,99 +282,36 @@ impl TcpSim {
         let base_rtt_s = self.path.rtt_ms / 1e3;
         let dt = self.cfg.dt_s;
         let mut t = 0.0;
-        let mut delivered_mb = 0.0;
         let mut loss_events = 0u64;
-        let mut per_second = Vec::new();
-        let mut second_acc = 0.0;
-        let mut next_second = 1.0;
-        // Wall of the per-second window currently accumulating (for the
-        // final partial-second flush below).
-        let mut second_start = 0.0;
-        // RTO state across a stall window (fault plane only).
-        let mut stall_since: Option<f64> = None;
-        let mut rto_s = 0.0;
-        let mut next_rto_at = 0.0;
-        let mut backoffs = 0u32;
-        let mut did_reset = false;
+        let mut ledger = Ledger::new();
+        let mut rto = Rto::new(base_rtt_s, "", "windows");
 
         telemetry::clock(0.0);
         let _run_span = telemetry::span("transport/run");
         while t < duration_s {
-            budget::charge(1);
-            telemetry::clock(t);
-            let (rtt_s, loss_per_pkt, stalled) = if faults::enabled() {
-                let rtt_mult =
-                    faults::magnitude(FaultKind::RttSpike, t).map_or(1.0, |m| 1.0 + m.max(0.0));
-                let loss_mult =
-                    faults::magnitude(FaultKind::LossBurst, t).map_or(1.0, |m| m.max(1.0));
-                (
-                    base_rtt_s * rtt_mult,
-                    self.path.loss_per_pkt * loss_mult,
-                    faults::is_active(FaultKind::StallWindow, t),
-                )
-            } else {
-                (base_rtt_s, self.path.loss_per_pkt, false)
-            };
+            let (rtt_mult, loss_mult, stalled) = step::begin(t);
             if stalled {
-                let since = match stall_since {
-                    Some(s) => s,
-                    None => {
-                        // Dead air begins: arm the retransmission timer at
-                        // the RFC 6298 floor.
-                        rto_s = (2.0 * base_rtt_s).max(1.0);
-                        next_rto_at = t + rto_s;
-                        backoffs = 0;
-                        did_reset = false;
-                        stall_since = Some(t);
-                        t
-                    }
-                };
-                if t >= next_rto_at {
-                    backoffs += 1;
-                    telemetry::count("transport/rto", 1);
-                    telemetry::observe("transport/rto_backoff_s", rto_s);
+                let fired = rto.on_stall(t);
+                if fired != Timeout::Pending {
                     for f in self.flows.iter_mut() {
                         f.on_rto();
                     }
-                    recovery::record(RecoveryKind::TcpRto, t, rto_s, t - since, || {
-                        format!("backoff #{backoffs}, windows collapsed")
-                    });
-                    if backoffs >= 5 && !did_reset {
-                        // The retry budget is spent: tear the connections
-                        // down and re-establish, starting over from the
-                        // initial window.
-                        did_reset = true;
-                        telemetry::count("transport/conn_reset", 1);
-                        for f in self.flows.iter_mut() {
-                            *f = Flow::new();
-                        }
-                        recovery::record(RecoveryKind::TcpConnReset, t, rto_s, t - since, || {
-                            format!("reset after {backoffs} backoffs")
-                        });
+                }
+                if fired == Timeout::Reset {
+                    // The retry budget is spent: tear the connections down
+                    // and re-establish, starting over from the initial
+                    // window.
+                    for f in self.flows.iter_mut() {
+                        *f = Flow::new();
                     }
-                    rto_s *= 2.0;
-                    next_rto_at = t + rto_s;
-                    // The backoff sequence only ever doubles from the RFC
-                    // 6298 floor; a shrinking or non-finite RTO would let a
-                    // stall window fire timers unboundedly often.
-                    guard::check(
-                        "transport",
-                        "rto-bounds",
-                        rto_s.is_finite() && rto_s >= (2.0 * base_rtt_s).max(1.0),
-                        t,
-                        || format!("RTO {rto_s}s below the floor after backoff #{backoffs}"),
-                    );
                 }
                 t += dt;
-                if t >= next_second {
-                    per_second.push(second_acc);
-                    second_acc = 0.0;
-                    next_second += 1.0;
-                    second_start = t;
-                }
+                ledger.tick(t);
                 continue;
             }
-            stall_since = None;
+            rto.clear();
+            let rtt_s = base_rtt_s * rtt_mult;
+            let loss_per_pkt = self.path.loss_per_pkt * loss_mult;
             let demands = self.demands_mbps(rtt_s);
             let total: f64 = demands.iter().sum();
             // Fair sharing at the bottleneck: proportional scale-down.
@@ -390,8 +326,7 @@ impl TcpSim {
             let cwnd_cap = self.cfg.wmem_bytes / self.path.mss_bytes;
             for (i, f) in self.flows.iter_mut().enumerate() {
                 let thr = demands[i] * scale;
-                delivered_mb += thr * dt;
-                second_acc += thr * dt;
+                ledger.add(thr * dt);
                 // Random path loss: Poisson over delivered packets.
                 let pkts = self.path.packets_per_sec(thr) * dt;
                 let p_loss = 1.0 - (-pkts * loss_per_pkt).exp();
@@ -408,14 +343,9 @@ impl TcpSim {
                     telemetry::series("transport/cwnd_pkts_t", t, f.cwnd_pkts);
                     f.on_loss(self.cfg.algo);
                     loss_events += 1;
-                    // Under a loss-burst window the repair is a fast
-                    // retransmit (the decrease above) — worth surfacing as a
-                    // recovery action; recording changes no simulation state.
-                    if faults::is_active(FaultKind::LossBurst, t) {
-                        recovery::record(RecoveryKind::TcpFastRetransmit, t, rtt_s, 0.0, || {
-                            format!("flow {i}: multiplicative decrease")
-                        });
-                    }
+                    // Under a loss burst the repair is a fast retransmit
+                    // (the decrease above).
+                    step::loss_repair(t, rtt_s, || format!("flow {i}: multiplicative decrease"));
                 } else {
                     f.grow(dt, rtt_s, self.cfg.algo);
                 }
@@ -440,43 +370,14 @@ impl TcpSim {
                 );
             }
             t += dt;
-            if t >= next_second {
-                per_second.push(second_acc);
-                second_acc = 0.0;
-                next_second += 1.0;
-                second_start = t;
-            }
+            ledger.tick(t);
         }
 
-        if guard::enabled() {
-            // Conservation: the per-second ledger re-partitions exactly the
-            // megabits the running total delivered (modulo float
-            // re-association across partial sums).
-            let ledger: f64 = per_second.iter().sum::<f64>() + second_acc;
-            guard::check(
-                "transport",
-                "bytes-conserved",
-                (ledger - delivered_mb).abs() <= 1e-6 * delivered_mb.abs() + 1e-9,
-                duration_s,
-                || format!("per-second ledger {ledger} vs delivered {delivered_mb}"),
-            );
-            guard::non_negative("transport", "goodput", delivered_mb, 0.0, duration_s);
-        }
-        // Flush the final partial second: when `duration_s` is not an
-        // integer number of seconds the tail accumulator still holds real
-        // deliveries, and dropping it biased the per-second goodput CDFs.
-        // The sample is normalized by its actual window so it is a rate
-        // comparable to the full-second samples. (For integer durations
-        // the accumulator is exactly zero here and nothing changes.)
-        let tail_s = t - second_start;
-        if second_acc > 0.0 && tail_s > 0.0 {
-            per_second.push(second_acc / tail_s);
-        }
-        telemetry::gauge("transport/mean_mbps", delivered_mb / duration_s);
+        let (mean_mbps, per_second_mbps) = ledger.finish(t, duration_s);
         TcpRunResult {
-            mean_mbps: delivered_mb / duration_s,
+            mean_mbps,
             loss_events,
-            per_second_mbps: per_second,
+            per_second_mbps,
         }
     }
 }
