@@ -14,7 +14,6 @@
 //! figures --profile all        # wall-sorted profile with hottest spans
 //! figures --deadline-s 30 all  # per-attempt wall-clock deadline
 //! figures --event-budget 5000000 all    # per-attempt event budget
-//! figures --no-cancel all      # disarm the cooperative cancel plane
 //! figures --bench-out results/BENCH_campaign.json all   # record perf
 //! figures --bench-baseline results/BENCH_campaign.json all  # drift check
 //! figures --bench-strict ...   # exit non-zero on perf regression
@@ -107,20 +106,18 @@
 //! warns about regressions (generous 2× + 0.25 s tolerance, wall noise is
 //! real); `--bench-strict` turns those warnings into a non-zero exit.
 //!
-//! Campaigns are interrupt-safe: SIGINT (^C) or SIGTERM stops the worker
-//! pool from claiming new experiments, cancels in-flight attempts
-//! cooperatively (their threads observe the kill at the next budget
-//! charge, unwind, and exit — no leaked threads), flushes the manifest
-//! atomically with the in-flight rows marked `interrupted`, and exits
-//! with code 130. `--resume` then re-runs only the interrupted and
-//! never-started experiments; the completed prefix is re-emitted
-//! verbatim, so the resumed campaign's artifacts are byte-identical to
-//! an uninterrupted run. `--deadline-s <secs>` and `--event-budget <n>`
-//! tighten the per-attempt wall-clock deadline and event budget (they
-//! also bound stress-mode cases and `--repro` replays); `--no-cancel`
-//! disarms the cooperative cancellation plane, restoring the legacy
-//! abandon-on-deadline behavior (deadline-blown threads leak) — campaign
-//! artifacts are bit-identical either way.
+//! Campaigns are interrupt-safe: SIGINT (^C) or SIGTERM cancels in-flight
+//! attempts cooperatively (their threads observe the kill at the next
+//! budget charge, unwind, and exit — no leaked threads) and makes every
+//! experiment not yet started return at once without running; the
+//! manifest is flushed atomically with all of those rows marked
+//! `interrupted`, and the binary exits with code 130. `--resume` then
+//! re-runs every row that did not finish `ok`; the completed rows are
+//! re-emitted verbatim, so the resumed campaign's artifacts are
+//! byte-identical to an uninterrupted run. `--deadline-s <secs>` and
+//! `--event-budget <n>` tighten the per-attempt wall-clock deadline and
+//! event budget (they also bound stress-mode cases and `--repro`
+//! replays).
 
 use fiveg_bench::json::Json;
 use fiveg_bench::report::{f, Table};
@@ -737,8 +734,8 @@ fn main() {
             .unwrap_or_else(|| "results".to_string());
         validate(&dir);
     }
-    // `--deadline-s` / `--event-budget` / `--no-cancel` are parsed before
-    // the `--repro` dispatch so a replay inherits a tightened deadline.
+    // `--deadline-s` / `--event-budget` are parsed before the `--repro`
+    // dispatch so a replay inherits a tightened deadline.
     // Both track "was the flag given" (`None` = flag absent) because the
     // campaign supervisor and the stress harness have *different* built-in
     // defaults that must not clobber each other.
@@ -771,11 +768,6 @@ fn main() {
             });
         args.remove(pos);
         event_budget = Some(n);
-    }
-    let mut cancel = true;
-    if let Some(pos) = args.iter().position(|a| a == "--no-cancel") {
-        args.remove(pos);
-        cancel = false;
     }
     if let Some(pos) = args.iter().position(|a| a == "--repro") {
         let path = args.get(pos + 1).cloned().unwrap_or_else(|| {
@@ -1093,11 +1085,10 @@ fn main() {
     if let Some(budget) = event_budget {
         supervisor.event_budget = budget;
     }
-    supervisor.cancel = cancel;
-    // Graceful interrupt: the first SIGINT/SIGTERM stops the pool from
-    // claiming new experiments and cancels in-flight attempts; the
-    // manifest flush below then records them as `interrupted` rows for
-    // `--resume` to pick up.
+    // Graceful interrupt: the first SIGINT/SIGTERM cancels in-flight
+    // attempts and turns every experiment not yet started into an
+    // immediate no-op; the manifest then records all of them as
+    // `interrupted` rows for `--resume` to pick up.
     supervisor.interrupt = Some(fiveg_bench::signal::install());
 
     let prior: HashMap<String, ManifestEntry> = match (&out_dir, resume) {
@@ -1137,8 +1128,8 @@ fn main() {
 
     let campaign_t0 = Instant::now();
     let slots = Mutex::new(slots);
-    let (outcome_slots, worker_busy_s) =
-        supervisor.run_registry_jobs_partial(&work, seed, jobs, |wi, outcome| {
+    let (outcomes, worker_busy_s) =
+        supervisor.run_registry_jobs_timed(&work, seed, jobs, |wi, outcome| {
             // The lock also serializes stdout/stderr and the manifest rewrite,
             // so interleaved workers cannot tear a report or a manifest write.
             let mut slots = slots.lock().expect("slots lock");
@@ -1178,10 +1169,6 @@ fn main() {
         });
     let campaign_wall_s = campaign_t0.elapsed().as_secs_f64();
     let was_interrupted = supervisor.interrupted();
-    // An uninterrupted partial run returns all-`Some` (same as the
-    // non-partial variant); an interrupted one leaves the unclaimed tail
-    // as `None` — those experiments never started and have no outcome.
-    let outcomes: Vec<runner::RunOutcome> = outcome_slots.into_iter().flatten().collect();
 
     // Telemetry export: per-experiment sim-time artifacts (deterministic),
     // then the campaign summary (the only file with wall-clock numbers).
@@ -1218,32 +1205,26 @@ fn main() {
         );
     }
 
-    let final_slots = slots.into_inner().expect("slots lock");
-    let rows: Vec<ManifestEntry> = if was_interrupted {
-        // Unclaimed slots are empty by design; the manifest on disk already
-        // records exactly the rows that exist (ok / degraded / interrupted).
-        final_slots.into_iter().flatten().collect()
-    } else {
-        final_slots
-            .into_iter()
-            .map(|s| s.expect("every registry entry ran or resumed"))
-            .collect()
-    };
+    let rows: Vec<ManifestEntry> = slots
+        .into_inner()
+        .expect("slots lock")
+        .into_iter()
+        .map(|s| s.expect("every registry entry ran or resumed"))
+        .collect();
     let degraded = rows
         .iter()
         .filter(|r| r.status == RunStatus::Degraded)
         .count();
 
     if was_interrupted {
-        let cancelled = rows
+        let interrupted = rows
             .iter()
             .filter(|r| r.status == RunStatus::Interrupted)
             .count();
-        let finished = rows.len() - cancelled;
-        let never_started = entries.len() - rows.len();
+        let finished = rows.len() - interrupted;
         eprintln!(
-            "interrupted: {finished} experiment(s) finished, {cancelled} cancelled in flight, \
-             {never_started} never started{}",
+            "interrupted: {finished} experiment(s) finished, {interrupted} interrupted \
+             (cancelled in flight or never started){}",
             match &out_dir {
                 Some(dir) => format!(
                     " — resume with `figures --resume --out {} ...`",

@@ -22,13 +22,17 @@
 //! `DEGRADED`, so every other experiment's output is written regardless.
 //! A campaign interrupt (SIGINT/SIGTERM via [`Supervisor::interrupt`])
 //! instead yields `INTERRUPTED` rows that `--resume` re-runs.
+//!
+//! Whole experiments, shards and stress cases all run through the same
+//! attempt executor ([`Supervisor::execute`]); whole experiments and
+//! shards share one retry loop on top of it.
 
 use crate::experiments::Experiment;
 use crate::json::Json;
 use crate::report::Report;
 use crate::shard::{self, ShardableExperiment};
 use fiveg_simcore::cancel::{self, CancelToken};
-use fiveg_simcore::faults::FaultScenario;
+use fiveg_simcore::faults::{FaultScenario, FaultSchedule};
 use fiveg_simcore::guard::{self, AttemptGuards, GuardPolicy};
 use fiveg_simcore::recovery::{self, RecoveryEvent, RecoverySummary};
 use fiveg_simcore::telemetry::{self, AttemptTelemetry};
@@ -50,6 +54,10 @@ static LEAKED_THREADS: AtomicUsize = AtomicUsize::new(0);
 pub fn leaked_threads() -> usize {
     LEAKED_THREADS.load(Ordering::Relaxed)
 }
+
+/// The note of a run the campaign interrupt stopped before its first
+/// attempt.
+const NOT_STARTED: &str = "interrupted before start";
 
 /// How one supervised run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,12 +168,6 @@ pub struct Supervisor {
     /// the outcome, but (since hooks never mutate simulation state) every
     /// artifact stays byte-identical to a run with the plane off.
     pub guards: Option<GuardPolicy>,
-    /// Arm a cooperative cancellation token on each attempt thread (on by
-    /// default). With it off, a blown deadline abandons the thread the
-    /// old way — it leaks and keeps running — and interrupts cannot stop
-    /// an in-flight attempt; the observable artifacts are bit-identical
-    /// either way, since the token never mutates simulation state.
-    pub cancel: bool,
     /// How long a cancelled attempt gets to unwind and report before the
     /// supervisor gives up and abandons its thread (leak of last resort).
     pub grace: Duration,
@@ -177,9 +179,9 @@ pub struct Supervisor {
     pub stall: Duration,
     /// Campaign interrupt flag (typically the SIGINT/SIGTERM handler's
     /// static). When it flips, in-flight attempts are cancelled, retries
-    /// are skipped, and runs report [`RunStatus::Interrupted`];
-    /// [`Supervisor::run_registry_jobs_partial`] also stops claiming new
-    /// entries.
+    /// are skipped, and runs report [`RunStatus::Interrupted`]; every run
+    /// the pool starts afterwards returns at once, noted `interrupted
+    /// before start`.
     pub interrupt: Option<&'static AtomicBool>,
     /// Fan the shards of [`crate::shard::shardable`] experiments out to the
     /// pool as independent work units (on by default). Off, each sharded
@@ -202,7 +204,6 @@ impl Default for Supervisor {
             retries: 1,
             telemetry: false,
             guards: Some(GuardPolicy::Record),
-            cancel: true,
             grace: Duration::from_secs(2),
             stall: Duration::from_secs(30),
             interrupt: None,
@@ -244,97 +245,9 @@ impl Supervisor {
         if let Some(spec) = shard::find(id) {
             return self.run_sharded(&spec, seed);
         }
-        self.run_monolithic(id, f, seed)
-    }
-
-    /// The classic whole-experiment supervised retry loop.
-    fn run_monolithic(&self, id: &'static str, f: Experiment, seed: u64) -> RunOutcome {
-        let t0 = Instant::now();
-        let mut last_note = String::new();
-        for attempt in 0..=self.retries {
-            if self.interrupted() {
-                // Interrupt between attempts (or before the first): don't
-                // start more work the user asked us to stop.
-                let note = if attempt == 0 {
-                    "interrupted before start".to_string()
-                } else {
-                    last_note.clone()
-                };
-                return self.interrupted_outcome(id, attempt, note, t0);
-            }
-            let attempt_seed = self.attempt_seed(id, seed, attempt);
-            match self.attempt(id, f, attempt_seed) {
-                Ok(done) => {
-                    return RunOutcome {
-                        id,
-                        status: RunStatus::Ok,
-                        attempts: attempt + 1,
-                        note: (attempt > 0).then(|| last_note.clone()),
-                        report: done.value,
-                        recovery: done.recovery,
-                        wall_s: t0.elapsed().as_secs_f64(),
-                        events: done.events,
-                        telemetry: done.telemetry,
-                        guards: done.guards,
-                    }
-                }
-                Err(note) => {
-                    last_note = note;
-                    if self.interrupted() {
-                        // The attempt died because (or while) the campaign
-                        // was interrupted — not the experiment's fault, so
-                        // no retry and no DEGRADED verdict.
-                        return self.interrupted_outcome(id, attempt + 1, last_note, t0);
-                    }
-                }
-            }
-        }
-        RunOutcome {
-            id,
-            status: RunStatus::Degraded,
-            attempts: self.retries + 1,
-            note: Some(last_note.clone()),
-            report: degraded_report(id, &last_note),
-            recovery: Vec::new(),
-            wall_s: t0.elapsed().as_secs_f64(),
-            events: 0,
-            telemetry: None,
-            guards: AttemptGuards::default(),
-        }
-    }
-
-    /// The outcome for a run cut short by a campaign interrupt.
-    fn interrupted_outcome(
-        &self,
-        id: &'static str,
-        attempts: u32,
-        note: String,
-        t0: Instant,
-    ) -> RunOutcome {
-        self.interrupted_outcome_wall(id, attempts, note, t0.elapsed().as_secs_f64())
-    }
-
-    /// [`Supervisor::interrupted_outcome`] with an explicit wall-clock
-    /// (shard merges sum per-shard walls instead of re-reading a clock).
-    fn interrupted_outcome_wall(
-        &self,
-        id: &'static str,
-        attempts: u32,
-        note: String,
-        wall_s: f64,
-    ) -> RunOutcome {
-        RunOutcome {
-            id,
-            status: RunStatus::Interrupted,
-            attempts,
-            note: Some(note.clone()),
-            report: interrupted_report(id, &note),
-            recovery: Vec::new(),
-            wall_s,
-            events: 0,
-            telemetry: None,
-            guards: AttemptGuards::default(),
-        }
+        // A whole experiment's planes are keyed by its data seed.
+        self.retry(id, seed, format!("exp-{id}"), |s| (s, move || f(s)))
+            .into_outcome(id)
     }
 
     /// Runs every shard of a sharded experiment sequentially, then merges.
@@ -349,64 +262,30 @@ impl Supervisor {
         self.merge_shard_runs(spec, seed, shards)
     }
 
-    /// One shard's supervised retry loop — the shard-granular mirror of
-    /// [`Supervisor::run_monolithic`]. The shard *data* seed is the attempt
-    /// seed verbatim (so shard bodies compute exactly what the monolithic
-    /// experiment computed); only the ambient planes are keyed by
+    /// One shard's supervised run, through the same retry loop as a whole
+    /// experiment. The shard *data* seed is the attempt seed verbatim (so
+    /// shard bodies compute exactly what the monolithic experiment
+    /// computed); only the ambient planes are keyed by
     /// [`crate::shard::shard_plane_seed`], giving each shard a distinct,
     /// scheduling-independent fault world.
     pub fn run_shard(&self, spec: &ShardableExperiment, seed: u64, shard_idx: usize) -> ShardRun {
-        let t0 = Instant::now();
-        let id = spec.id;
-        let mut last_note = String::new();
-        for attempt in 0..=self.retries {
-            if self.interrupted() {
-                let note = if attempt == 0 {
-                    "interrupted before start".to_string()
-                } else {
-                    last_note.clone()
-                };
-                return ShardRun::interrupted(shard_idx, attempt, note, t0);
-            }
-            let attempt_seed = self.attempt_seed(id, seed, attempt);
-            let plane_seed = shard::shard_plane_seed(attempt_seed, id, shard_idx);
-            let run = spec.run;
-            match self.attempt_payload(format!("exp-{id}-s{shard_idx}"), plane_seed, move || {
-                run(attempt_seed, shard_idx)
-            }) {
-                Ok(done) => {
-                    return ShardRun {
-                        shard: shard_idx,
-                        status: RunStatus::Ok,
-                        attempts: attempt + 1,
-                        note: (attempt > 0).then(|| last_note.clone()),
-                        values: done.value,
-                        recovery: done.recovery,
-                        wall_s: t0.elapsed().as_secs_f64(),
-                        events: done.events,
-                        telemetry: done.telemetry,
-                        guards: done.guards,
-                    }
-                }
-                Err(note) => {
-                    last_note = note;
-                    if self.interrupted() {
-                        return ShardRun::interrupted(shard_idx, attempt + 1, last_note, t0);
-                    }
-                }
-            }
-        }
+        let (id, run) = (spec.id, spec.run);
+        let s = self.retry(id, seed, format!("exp-{id}-s{shard_idx}"), |a| {
+            (shard::shard_plane_seed(a, id, shard_idx), move || {
+                run(a, shard_idx)
+            })
+        });
         ShardRun {
             shard: shard_idx,
-            status: RunStatus::Degraded,
-            attempts: self.retries + 1,
-            note: Some(last_note),
-            values: Vec::new(),
-            recovery: Vec::new(),
-            wall_s: t0.elapsed().as_secs_f64(),
-            events: 0,
-            telemetry: None,
-            guards: AttemptGuards::default(),
+            status: s.status,
+            attempts: s.attempts,
+            note: s.note,
+            values: s.value.unwrap_or_default(),
+            recovery: s.drained.recovery,
+            wall_s: s.wall_s,
+            events: s.drained.events,
+            telemetry: s.drained.telemetry,
+            guards: s.drained.guards,
         }
     }
 
@@ -424,126 +303,86 @@ impl Supervisor {
         seed: u64,
         shards: Vec<ShardRun>,
     ) -> RunOutcome {
-        let id = spec.id;
-        let n = spec.shards;
+        let (id, n) = (spec.id, spec.shards);
         let wall_s: f64 = shards.iter().map(|s| s.wall_s).sum();
         let attempts = shards.iter().map(|s| s.attempts).max().unwrap_or(1);
-        let shard_note = |status: RunStatus| {
-            shards
-                .iter()
-                .find(|s| s.status == status && s.note.is_some())
-                .map(|s| {
-                    format!(
-                        "shard {}/{n}: {}",
-                        s.shard,
-                        s.note.as_deref().unwrap_or_default()
-                    )
-                })
+        let shard_note = |s: &ShardRun| {
+            let note = s.note.as_deref()?;
+            Some(format!("shard {}/{n}: {note}", s.shard))
         };
-        if shards.iter().any(|s| s.status == RunStatus::Interrupted) {
-            let note = shard_note(RunStatus::Interrupted)
-                .unwrap_or_else(|| "interrupted before start".to_string());
-            return self.interrupted_outcome_wall(id, attempts, note, wall_s);
-        }
-        if shards.iter().any(|s| s.status == RunStatus::Degraded) {
-            let note = shard_note(RunStatus::Degraded).unwrap_or_default();
-            return RunOutcome {
-                id,
-                status: RunStatus::Degraded,
-                attempts,
-                note: Some(note.clone()),
-                report: degraded_report(id, &note),
-                recovery: Vec::new(),
-                wall_s,
-                events: 0,
-                telemetry: None,
-                guards: AttemptGuards::default(),
-            };
+        for (status, fallback) in [
+            (RunStatus::Interrupted, NOT_STARTED),
+            (RunStatus::Degraded, ""),
+        ] {
+            if shards.iter().any(|s| s.status == status) {
+                let note = shards
+                    .iter()
+                    .filter(|s| s.status == status)
+                    .find_map(shard_note)
+                    .unwrap_or_else(|| fallback.to_string());
+                return Settled::failed(status, attempts, note, wall_s).into_outcome(id);
+            }
         }
         let parts: Vec<Vec<f64>> = shards.iter().map(|s| s.values.clone()).collect();
-        let report = (spec.merge)(seed, &parts);
-        let recovery: Vec<RecoveryEvent> = shards
-            .iter()
-            .flat_map(|s| s.recovery.iter().cloned())
-            .collect();
-        let events: u64 = shards.iter().map(|s| s.events).sum();
-        let telemetry = self
-            .telemetry
-            .then(|| merge_shard_telemetry(shards.iter().filter_map(|s| s.telemetry.as_ref())));
-        let mut guards = AttemptGuards::default();
+        let mut drained = Drained {
+            recovery: shards
+                .iter()
+                .flat_map(|s| s.recovery.iter().cloned())
+                .collect(),
+            events: shards.iter().map(|s| s.events).sum(),
+            telemetry: self
+                .telemetry
+                .then(|| merge_shard_telemetry(shards.iter().filter_map(|s| s.telemetry.as_ref()))),
+            guards: AttemptGuards::default(),
+        };
         for s in &shards {
+            let guards = &mut drained.guards;
             guards
                 .violations
                 .extend(s.guards.violations.iter().cloned());
             guards.dropped += s.guards.dropped;
             guards.checks += s.guards.checks;
         }
-        let note = shards.iter().find(|s| s.note.is_some()).map(|s| {
-            format!(
-                "shard {}/{n}: {}",
-                s.shard,
-                s.note.as_deref().unwrap_or_default()
-            )
-        });
-        RunOutcome {
-            id,
+        Settled {
             status: RunStatus::Ok,
             attempts,
-            note,
-            report,
-            recovery,
+            note: shards.iter().find_map(shard_note),
             wall_s,
-            events,
-            telemetry,
-            guards,
+            value: Some((spec.merge)(seed, &parts)),
+            drained,
         }
-    }
-
-    /// Runs every `(id, experiment)` entry serially, collecting one outcome
-    /// per entry. A panic, deadline blow-out, or budget exhaustion in any
-    /// one experiment cannot prevent the others from running.
-    pub fn run_registry(
-        &self,
-        entries: &[(&'static str, Experiment)],
-        seed: u64,
-    ) -> Vec<RunOutcome> {
-        self.run_registry_jobs(entries, seed, 1, |_, _| {})
+        .into_outcome(id)
     }
 
     /// Runs every `(id, experiment)` entry on a pool of `jobs` worker
     /// threads pulling from a shared queue, collecting outcomes **in entry
-    /// order** regardless of completion order.
+    /// order** regardless of completion order, plus per-worker busy time
+    /// (seconds each worker spent on its units, index = worker; wall-clock
+    /// telemetry that never reaches a deterministic artifact).
     ///
     /// Determinism contract: each experiment's world is a pure function of
     /// `(id, campaign seed, attempt)` — [`Supervisor::attempt_seed`] draws
     /// from no shared RNG, and every attempt installs its own thread-local
     /// fault/recovery/budget planes on a fresh attempt thread
-    /// ([`fiveg_simcore::ambient::install_attempt`]). Workers therefore
+    /// ([`fiveg_simcore::ambient::install_schedule`]). Workers therefore
     /// cannot observe each other, and the returned vector — and any
     /// manifest rendered from it — is byte-identical to a serial run.
+    ///
+    /// Every entry gets an outcome, even under interrupt: once
+    /// [`Supervisor::interrupt`] flips, the units the pool still claims
+    /// return at once as [`RunStatus::Interrupted`].
+    ///
+    /// Each entry expands into its work units — one unit for an unsharded
+    /// experiment, one per shard for a sharded one (when
+    /// [`Supervisor::shard`] is on) — scheduled on one work-stealing pool,
+    /// so shards of a long experiment interleave with other experiments on
+    /// the same workers. A sharded experiment's outcome is merged by
+    /// [`Supervisor::merge_shard_runs`] when its *last* shard completes.
     ///
     /// `on_done(i, outcome)` fires as each entry finishes (completion
     /// order, possibly concurrently with other workers finishing — the
     /// callback must serialize its own side effects); the campaign driver
     /// uses it for progress output and crash-consistent manifest rewrites.
-    pub fn run_registry_jobs<F>(
-        &self,
-        entries: &[(&'static str, Experiment)],
-        seed: u64,
-        jobs: usize,
-        on_done: F,
-    ) -> Vec<RunOutcome>
-    where
-        F: Fn(usize, &RunOutcome) + Sync,
-    {
-        self.run_registry_jobs_timed(entries, seed, jobs, on_done).0
-    }
-
-    /// Like [`Supervisor::run_registry_jobs`], but also returns per-worker
-    /// busy time (seconds each worker spent inside `run_one`, index =
-    /// worker). The telemetry exporter folds these into the campaign
-    /// summary's worker-occupancy table; they are wall-clock measurements
-    /// and never reach any deterministic artifact.
     pub fn run_registry_jobs_timed<F>(
         &self,
         entries: &[(&'static str, Experiment)],
@@ -551,58 +390,6 @@ impl Supervisor {
         jobs: usize,
         on_done: F,
     ) -> (Vec<RunOutcome>, Vec<f64>)
-    where
-        F: Fn(usize, &RunOutcome) + Sync,
-    {
-        let (slots, busy) = self.run_units(entries, seed, jobs, None, on_done);
-        let outcomes = slots
-            .into_iter()
-            .map(|slot| slot.expect("every unit was claimed (no stop flag)"))
-            .collect();
-        (outcomes, busy)
-    }
-
-    /// Like [`Supervisor::run_registry_jobs_timed`], but interrupt-aware:
-    /// when [`Supervisor::interrupt`] flips, workers stop claiming new
-    /// registry entries and the unclaimed tail comes back as `None` (an
-    /// uninterrupted run returns all `Some`, identical to the non-partial
-    /// variant). In-flight entries still finish — cancelled, they land as
-    /// [`RunStatus::Interrupted`] outcomes via `on_done` like any other.
-    pub fn run_registry_jobs_partial<F>(
-        &self,
-        entries: &[(&'static str, Experiment)],
-        seed: u64,
-        jobs: usize,
-        on_done: F,
-    ) -> (Vec<Option<RunOutcome>>, Vec<f64>)
-    where
-        F: Fn(usize, &RunOutcome) + Sync,
-    {
-        let stop = self.interrupt.map(|f| f as &AtomicBool);
-        self.run_units(entries, seed, jobs, stop, on_done)
-    }
-
-    /// The shared pool core behind the registry runners: expands each entry
-    /// into its work units — one `Whole` unit for unsharded experiments,
-    /// one `Shard` unit per shard for sharded ones (when
-    /// [`Supervisor::shard`] is on) — and schedules the flattened unit list
-    /// on one work-stealing pool. Shards of a long experiment therefore
-    /// interleave with other experiments on the same workers: no second
-    /// thread layer, no per-experiment barrier.
-    ///
-    /// Outcome slots stay in entry order. A sharded experiment's slot fills
-    /// (and its `on_done` fires) when its *last* shard completes, merged by
-    /// [`Supervisor::merge_shard_runs`]. On interrupt, an experiment whose
-    /// shards were only partly claimed never merges — its slot stays `None`
-    /// and `--resume` re-runs it whole, exactly like an unclaimed entry.
-    fn run_units<F>(
-        &self,
-        entries: &[(&'static str, Experiment)],
-        seed: u64,
-        jobs: usize,
-        stop: Option<&AtomicBool>,
-        on_done: F,
-    ) -> (Vec<Option<RunOutcome>>, Vec<f64>)
     where
         F: Fn(usize, &RunOutcome) + Sync,
     {
@@ -643,7 +430,7 @@ impl Supervisor {
             on_done(i, &outcome);
             *outcomes[i].lock().expect("outcome lock") = Some(outcome);
         };
-        let (_, busy) = pool_map_partial(units.len(), jobs, stop, |u| match units[u] {
+        let (_, busy) = pool_map(units.len(), jobs, |u| match units[u] {
             Unit::Whole(i) => {
                 let (id, f) = entries[i];
                 finish(i, self.run_one(id, f, seed));
@@ -670,112 +457,153 @@ impl Supervisor {
                 }
             }
         });
-        let slots = outcomes
+        let outcomes = outcomes
             .into_iter()
-            .map(|slot| slot.into_inner().expect("outcome lock"))
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("outcome lock")
+                    .expect("every entry's units ran")
+            })
             .collect();
-        (slots, busy)
+        (outcomes, busy)
     }
 
-    /// One supervised attempt of a whole experiment (plane seed = data
-    /// seed).
-    fn attempt(&self, id: &str, f: Experiment, seed: u64) -> Result<AttemptOutput<Report>, String> {
-        self.attempt_payload(format!("exp-{id}"), seed, move || f(seed))
+    /// The supervised retry loop shared by whole experiments and shards:
+    /// up to `1 + retries` attempts, each with its perturbed seed, stopping
+    /// at the first success or at a campaign interrupt. `attempt(seed)`
+    /// returns the attempt's plane seed and its body.
+    fn retry<T, B>(
+        &self,
+        id: &str,
+        seed: u64,
+        thread_name: String,
+        attempt: impl Fn(u64) -> (u64, B),
+    ) -> Settled<T>
+    where
+        T: Send + 'static,
+        B: FnOnce() -> T + Send + std::panic::UnwindSafe + 'static,
+    {
+        let t0 = Instant::now();
+        let mut last_note = String::new();
+        for n in 0..=self.retries {
+            if self.interrupted() {
+                // Interrupt between attempts (or before the first): don't
+                // start more work the user asked us to stop.
+                let note = if n == 0 {
+                    NOT_STARTED.to_string()
+                } else {
+                    last_note
+                };
+                return Settled::failed(RunStatus::Interrupted, n, note, secs(t0));
+            }
+            let (plane_seed, body) = attempt(self.attempt_seed(id, seed, n));
+            let schedule = self
+                .scenario
+                .as_ref()
+                .map(|sc| FaultSchedule::generate(plane_seed, sc));
+            let done = self.execute(thread_name.clone(), schedule, body);
+            match done.result {
+                Ok(value) => {
+                    return Settled {
+                        status: RunStatus::Ok,
+                        attempts: n + 1,
+                        note: (n > 0).then_some(last_note),
+                        wall_s: secs(t0),
+                        value: Some(value),
+                        drained: done.drained,
+                    }
+                }
+                Err(failure) => {
+                    last_note = self.note(&failure);
+                    if self.interrupted() {
+                        // The attempt died because (or while) the campaign
+                        // was interrupted — not the experiment's fault, so
+                        // no retry and no DEGRADED verdict.
+                        return Settled::failed(RunStatus::Interrupted, n + 1, last_note, secs(t0));
+                    }
+                }
+            }
+        }
+        Settled::failed(RunStatus::Degraded, self.retries + 1, last_note, secs(t0))
     }
 
-    /// One supervised attempt of an arbitrary payload: spawn, install the
-    /// ambient planes keyed by `plane_seed`, arm, catch, supervise. Whole
-    /// experiments pass their data seed as the plane seed; shards pass the
-    /// derived [`crate::shard::shard_plane_seed`] so sibling shards get
-    /// distinct fault worlds while their data stays seed-pure.
-    fn attempt_payload<T, F>(
+    /// The note a failed attempt leaves in the manifest.
+    fn note(&self, failure: &Failure) -> String {
+        match failure {
+            Failure::Panic(msg) => format!("panicked: {msg}"),
+            Failure::Cancelled {
+                reason,
+                class,
+                events,
+            } => format!("{reason}; cancelled cooperatively ({class}; {events} events charged at kill)"),
+            Failure::Abandoned {
+                reason,
+                class,
+                events,
+            } => format!(
+                "{reason}; cancel unanswered after {:.1} s grace ({class}; {events} events charged at kill); thread abandoned — leaked",
+                self.grace.as_secs_f64()
+            ),
+            Failure::Died(note) => note.clone(),
+        }
+    }
+
+    /// One supervised attempt of `body`, the only place an attempt runs:
+    /// spawn a fresh thread named `thread_name`, install the ambient planes
+    /// there (`schedule`, this supervisor's budget, telemetry and guard
+    /// policy, and a deadline-bearing cancellation token), run the body
+    /// under `catch_unwind`, drain the planes, and supervise the thread
+    /// until it reports or the escalation ladder gives up on it. Whole
+    /// experiments pass the schedule generated from their data seed, shards
+    /// the one from [`crate::shard::shard_plane_seed`], and the stress
+    /// harness a possibly shrunk reproducer's.
+    pub(crate) fn execute<T, F>(
         &self,
         thread_name: String,
-        plane_seed: u64,
+        schedule: Option<FaultSchedule>,
         body: F,
-    ) -> Result<AttemptOutput<T>, String>
+    ) -> Attempt<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + std::panic::UnwindSafe + 'static,
     {
         let (tx, rx) = mpsc::channel();
-        let token = self
-            .cancel
-            .then(|| Arc::new(CancelToken::with_deadline(Instant::now() + self.deadline)));
-        let scenario = self.scenario.clone();
-        let events = self.event_budget;
-        let telemetry_on = self.telemetry;
-        let guards = self.guards;
-        let attempt_token = token.clone();
+        let token = Arc::new(CancelToken::with_deadline(Instant::now() + self.deadline));
+        let attempt_token = Arc::clone(&token);
+        let (event_budget, telemetry_on, guards) = (self.event_budget, self.telemetry, self.guards);
         let spawned = std::thread::Builder::new()
             .name(thread_name)
             .spawn(move || {
                 // Thread-locals start clean on a fresh thread; install the
                 // fault plane, the recovery collector (only alongside a
-                // scenario, so fault-free campaigns report zero recovery
+                // schedule, so fault-free campaigns report zero recovery
                 // events by construction), the telemetry collector (only
                 // when the supervisor asks), the invariant guard collector
                 // (under the supervisor's policy), arm the budget, and arm
-                // the cancellation token — all for this attempt only.
-                let _ambient = ambient::install_attempt(
-                    scenario.as_ref(),
-                    plane_seed,
-                    events,
+                // the cancellation token — all for this attempt only. They
+                // uninstall when `_ambient` drops, and are drained on both
+                // outcomes, so a panicked attempt's half-filled collectors
+                // never outlive it.
+                let _ambient = ambient::install_schedule(
+                    schedule,
+                    event_budget,
                     telemetry_on,
                     guards,
-                    attempt_token,
+                    Some(attempt_token),
                 );
-                let result = std::panic::catch_unwind(body);
-                let consumed = budget::consumed().unwrap_or(0);
-                let telem = telemetry_on.then(telemetry::drain);
-                let guard_records = guard::drain();
-                let send = match result {
-                    Ok(value) => Ok(AttemptOutput {
-                        value,
-                        recovery: recovery::drain(),
-                        events: consumed,
-                        telemetry: telem,
-                        guards: guard_records,
-                    }),
-                    Err(payload) => {
-                        // Attempt-state hygiene: a panicked experiment may
-                        // have half-filled its collectors. They uninstall
-                        // when `_ambient` drops (and the retry runs on a
-                        // fresh thread with freshly-installed planes), but
-                        // drain them explicitly too so no poisoned state
-                        // can outlive this scope even if the attempt
-                        // threading model ever changes.
-                        let _ = recovery::drain();
-                        Err(panic_note(payload.as_ref()))
-                    }
+                let result = std::panic::catch_unwind(body)
+                    .map_err(|payload| Failure::Panic(panic_message(payload.as_ref())));
+                let drained = Drained {
+                    recovery: recovery::drain(),
+                    events: budget::consumed().unwrap_or(0),
+                    telemetry: telemetry_on.then(telemetry::drain),
+                    guards: guard::drain(),
                 };
-                let _ = tx.send(send);
+                let _ = tx.send(Attempt { result, drained });
             });
-        let handle = match spawned {
-            Ok(h) => h,
-            Err(e) => return Err(format!("spawn failed: {e}")),
-        };
-        match token {
-            Some(token) => self.supervise(handle, &rx, &token),
-            None => {
-                // Cancellation plane disarmed: the legacy single-wait path.
-                // A blown deadline abandons the thread, which keeps running
-                // (and keeps its core) until it finishes on its own.
-                match rx.recv_timeout(self.deadline) {
-                    Ok(result) => {
-                        let _ = handle.join();
-                        result
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        LEAKED_THREADS.fetch_add(1, Ordering::Relaxed);
-                        Err(format!(
-                            "deadline exceeded ({:.1} s); thread abandoned (cancellation plane disarmed)",
-                            self.deadline.as_secs_f64()
-                        ))
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => Err(disconnect_note(handle)),
-                }
-            }
+        match spawned {
+            Ok(handle) => self.supervise(handle, &rx, &token),
+            Err(e) => Attempt::died(format!("spawn failed: {e}")),
         }
     }
 
@@ -785,11 +613,13 @@ impl Supervisor {
     fn supervise<T>(
         &self,
         handle: JoinHandle<()>,
-        rx: &mpsc::Receiver<Result<AttemptOutput<T>, String>>,
+        rx: &mpsc::Receiver<Attempt<T>>,
         token: &CancelToken,
-    ) -> Result<AttemptOutput<T>, String> {
+    ) -> Attempt<T> {
         let started = Instant::now();
         let deadline_at = started + self.deadline;
+        let deadline_reason =
+            || format!("deadline exceeded ({:.1} s)", self.deadline.as_secs_f64());
         // Tick fast enough that short test deadlines stay accurate, slow
         // enough that a 120 s campaign deadline costs ~10 wakeups/s.
         let tick = (self.deadline / 4).clamp(Duration::from_millis(5), Duration::from_millis(100));
@@ -800,26 +630,19 @@ impl Supervisor {
                 .min(deadline_at.saturating_duration_since(Instant::now()))
                 .max(Duration::from_millis(1));
             match rx.recv_timeout(wait) {
-                Ok(result) => {
+                Ok(done) => {
                     let _ = handle.join();
-                    return match result {
-                        // The token's own deadline fired inside the attempt
-                        // (its `poll` self-kills) before this loop ticked —
-                        // the same cooperative kill the escalation ladder
-                        // performs, so report it in the same shape.
-                        Err(note) if cancel::is_cancel_panic(&note) => {
-                            let class = self.classify(last_events, last_change);
-                            let events = token.progress().max(last_events);
-                            Err(format!(
-                                "deadline exceeded ({:.1} s); cancelled cooperatively \
-                                 ({class}; {events} events charged at kill)",
-                                self.deadline.as_secs_f64()
-                            ))
-                        }
-                        other => other,
-                    };
+                    // The token's own deadline fired inside the attempt
+                    // (its `poll` self-kills) before this loop ticked — the
+                    // same cooperative kill the escalation ladder performs,
+                    // so report it in the same shape.
+                    let class = self.classify(last_events, last_change);
+                    let events = token.progress().max(last_events);
+                    return done.unwound(deadline_reason, class, events);
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => return Err(disconnect_note(handle)),
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    return Attempt::died(disconnect_note(handle))
+                }
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
             }
             let now = Instant::now();
@@ -831,10 +654,7 @@ impl Supervisor {
             let reason = if self.interrupted() {
                 Some("interrupted".to_string())
             } else if now >= deadline_at {
-                Some(format!(
-                    "deadline exceeded ({:.1} s)",
-                    self.deadline.as_secs_f64()
-                ))
+                Some(deadline_reason())
             } else if last_events > 0 && now.duration_since(last_change) >= self.stall {
                 // Only experiments that have charged events can be declared
                 // wedged early: some legitimately run long without touching
@@ -847,7 +667,7 @@ impl Supervisor {
                 None
             };
             if let Some(reason) = reason {
-                return self.escalate(&reason, handle, rx, token, last_events, last_change);
+                return self.escalate(reason, handle, rx, token, last_events, last_change);
             }
         }
     }
@@ -869,46 +689,159 @@ impl Supervisor {
     /// abandon the thread (counting the leak).
     fn escalate<T>(
         &self,
-        reason: &str,
+        reason: String,
         handle: JoinHandle<()>,
-        rx: &mpsc::Receiver<Result<AttemptOutput<T>, String>>,
+        rx: &mpsc::Receiver<Attempt<T>>,
         token: &CancelToken,
         last_events: u64,
         last_change: Instant,
-    ) -> Result<AttemptOutput<T>, String> {
+    ) -> Attempt<T> {
         let class = self.classify(last_events, last_change);
-        token.kill(reason);
+        token.kill(&reason);
         match rx.recv_timeout(self.grace) {
-            Ok(Ok(output)) => {
-                // The attempt crossed the finish line before observing the
-                // kill — its report is complete and deterministic, so keep
-                // it rather than discarding finished work.
-                let _ = handle.join();
-                Ok(output)
-            }
-            Ok(Err(note)) => {
+            Ok(done) => {
+                // An attempt that crossed the finish line before observing
+                // the kill keeps its complete, deterministic result, and
+                // one that died of its own panic just as we killed it keeps
+                // that (more useful) note.
                 let _ = handle.join();
                 let events = token.progress().max(last_events);
-                if cancel::is_cancel_panic(&note) {
-                    Err(format!(
-                        "{reason}; cancelled cooperatively ({class}; {events} events charged at kill)"
-                    ))
-                } else {
-                    // It died of its own panic just as we killed it; the
-                    // real note is the more useful one.
-                    Err(note)
-                }
+                done.unwound(|| reason, class, events)
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 LEAKED_THREADS.fetch_add(1, Ordering::Relaxed);
                 drop(handle);
-                Err(format!(
-                    "{reason}; cancel unanswered after {:.1} s grace ({class}; {} events charged at kill); thread abandoned — leaked",
-                    self.grace.as_secs_f64(),
-                    token.progress().max(last_events),
-                ))
+                let events = token.progress().max(last_events);
+                Attempt {
+                    result: Err(Failure::Abandoned {
+                        reason,
+                        class,
+                        events,
+                    }),
+                    drained: Drained::default(),
+                }
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(disconnect_note(handle)),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Attempt::died(disconnect_note(handle)),
+        }
+    }
+}
+
+/// Seconds since `t0`.
+fn secs(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64()
+}
+
+/// How one supervised attempt failed.
+pub(crate) enum Failure {
+    /// The body panicked; carries the raw panic message.
+    Panic(String),
+    /// A kill for `reason` was honoured: the attempt unwound cooperatively
+    /// with `events` charged, classified `slow` or `wedged`.
+    Cancelled {
+        reason: String,
+        class: &'static str,
+        events: u64,
+    },
+    /// A kill for `reason` went unanswered through the grace period, so the
+    /// thread was abandoned (and counted in [`leaked_threads`]).
+    Abandoned {
+        reason: String,
+        class: &'static str,
+        events: u64,
+    },
+    /// The attempt thread never reported: it failed to spawn, or its result
+    /// channel dropped. Carries the full note.
+    Died(String),
+}
+
+/// Everything drained from an attempt thread's ambient planes.
+#[derive(Default)]
+pub(crate) struct Drained {
+    pub(crate) recovery: Vec<RecoveryEvent>,
+    pub(crate) events: u64,
+    pub(crate) telemetry: Option<AttemptTelemetry>,
+    pub(crate) guards: AttemptGuards,
+}
+
+/// One supervised attempt: the payload or how it failed, plus what its
+/// planes drained (on either outcome; empty when the thread never
+/// reported).
+pub(crate) struct Attempt<T> {
+    pub(crate) result: Result<T, Failure>,
+    pub(crate) drained: Drained,
+}
+
+impl<T> Attempt<T> {
+    /// An attempt whose thread never reported.
+    fn died(note: String) -> Attempt<T> {
+        Attempt {
+            result: Err(Failure::Died(note)),
+            drained: Drained::default(),
+        }
+    }
+
+    /// Reclassifies a cancellation panic (the body unwinding at a poll
+    /// after its token was killed) as a cooperative cancel for `reason`.
+    fn unwound(self, reason: impl FnOnce() -> String, class: &'static str, events: u64) -> Self {
+        match self.result {
+            Err(Failure::Panic(msg)) if cancel::is_cancel_panic(&msg) => Attempt {
+                result: Err(Failure::Cancelled {
+                    reason: reason(),
+                    class,
+                    events,
+                }),
+                drained: self.drained,
+            },
+            _ => self,
+        }
+    }
+}
+
+/// A payload's supervised run across all its attempts: the one shape both
+/// [`RunOutcome`] and [`ShardRun`] are built from.
+struct Settled<T> {
+    status: RunStatus,
+    attempts: u32,
+    note: Option<String>,
+    wall_s: f64,
+    /// The successful attempt's payload (`None` unless `status` is `Ok`).
+    value: Option<T>,
+    /// What the successful attempt drained (empty otherwise).
+    drained: Drained,
+}
+
+impl<T> Settled<T> {
+    /// A run that ended `Degraded` or `Interrupted` with `note`.
+    fn failed(status: RunStatus, attempts: u32, note: String, wall_s: f64) -> Settled<T> {
+        Settled {
+            status,
+            attempts,
+            note: Some(note),
+            wall_s,
+            value: None,
+            drained: Drained::default(),
+        }
+    }
+}
+
+impl Settled<Report> {
+    /// The experiment outcome, with a placeholder report for a failed run.
+    fn into_outcome(self, id: &'static str) -> RunOutcome {
+        let report = match self.value {
+            Some(report) => report,
+            None => failed_report(id, self.status, self.note.as_deref().unwrap_or_default()),
+        };
+        RunOutcome {
+            id,
+            status: self.status,
+            attempts: self.attempts,
+            note: self.note,
+            report,
+            recovery: self.drained.recovery,
+            wall_s: self.wall_s,
+            events: self.drained.events,
+            telemetry: self.drained.telemetry,
+            guards: self.drained.guards,
         }
     }
 }
@@ -926,8 +859,8 @@ fn disconnect_note(handle: JoinHandle<()>) -> String {
                 .to_string()
         }
         Err(payload) => format!(
-            "experiment thread died without reporting (send-side {})",
-            panic_note(payload.as_ref())
+            "experiment thread died without reporting (send-side panicked: {})",
+            panic_message(payload.as_ref())
         ),
     }
 }
@@ -945,29 +878,6 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let (slots, busy) = pool_map_partial(n, jobs, None, run);
-    let results = slots
-        .into_iter()
-        .map(|slot| slot.expect("every queue index was claimed by a worker"))
-        .collect();
-    (results, busy)
-}
-
-/// Like [`pool_map`], but workers stop claiming new indices once `stop`
-/// flips, so the result vector may end with unclaimed `None` slots (every
-/// claimed index still completes and lands in order). The campaign driver
-/// passes the SIGINT/SIGTERM flag here: an interrupt drains the pool
-/// without starting new experiments.
-pub fn pool_map_partial<T, F>(
-    n: usize,
-    jobs: usize,
-    stop: Option<&AtomicBool>,
-    run: F,
-) -> (Vec<Option<T>>, Vec<f64>)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
     let workers = jobs.clamp(1, n.max(1));
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -979,41 +889,30 @@ where
             let busy = &busy;
             let run = &run;
             scope.spawn(move || loop {
-                if stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
-                    break;
-                }
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
                 let t0 = Instant::now();
                 let out = run(i);
-                *busy[w].lock().expect("busy lock") += t0.elapsed().as_secs_f64();
+                *busy[w].lock().expect("busy lock") += secs(t0);
                 *slots[i].lock().expect("slot lock") = Some(out);
             });
         }
     });
     let results = slots
         .into_iter()
-        .map(|slot| slot.into_inner().expect("slot lock"))
+        .map(|slot| {
+            slot.into_inner()
+                .expect("slot lock")
+                .expect("every queue index was claimed by a worker")
+        })
         .collect();
     let busy = busy
         .into_iter()
         .map(|m| m.into_inner().expect("busy lock"))
         .collect();
     (results, busy)
-}
-
-/// What one successful supervised attempt hands back to the retry loop:
-/// the payload (a rendered [`Report`] for whole experiments, raw shard
-/// values for shard attempts) plus everything drained from the attempt
-/// thread's ambient planes.
-struct AttemptOutput<T> {
-    value: T,
-    recovery: Vec<RecoveryEvent>,
-    events: u64,
-    telemetry: Option<AttemptTelemetry>,
-    guards: AttemptGuards,
 }
 
 /// One shard's supervised run: the shard-granular [`RunOutcome`], carrying
@@ -1041,24 +940,6 @@ pub struct ShardRun {
     pub telemetry: Option<AttemptTelemetry>,
     /// Guard records drained from the successful attempt.
     pub guards: AttemptGuards,
-}
-
-impl ShardRun {
-    /// The shard run for an attempt cut short by a campaign interrupt.
-    fn interrupted(shard: usize, attempts: u32, note: String, t0: Instant) -> ShardRun {
-        ShardRun {
-            shard,
-            status: RunStatus::Interrupted,
-            attempts,
-            note: Some(note),
-            values: Vec::new(),
-            recovery: Vec::new(),
-            wall_s: t0.elapsed().as_secs_f64(),
-            events: 0,
-            telemetry: None,
-            guards: AttemptGuards::default(),
-        }
-    }
 }
 
 /// Concatenates per-shard telemetry in shard order into one attempt-shaped
@@ -1093,38 +974,36 @@ where
     merged
 }
 
-/// Extracts a readable note from a panic payload.
-fn panic_note(payload: &(dyn std::any::Any + Send)) -> String {
-    let msg = payload
+/// The raw message of a panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
         .downcast_ref::<String>()
         .cloned()
         .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_else(|| "panic with non-string payload".to_string());
-    format!("panicked: {msg}")
+        .unwrap_or_else(|| "panic with non-string payload".to_string())
 }
 
-/// The placeholder report for an experiment whose every attempt failed.
-fn degraded_report(id: &'static str, note: &str) -> Report {
+/// The placeholder report of a run that did not produce one: `Degraded`
+/// (every attempt failed) or `Interrupted` (a campaign interrupt cut it
+/// short). An interrupted row's report is never written to disk as the
+/// experiment's artifact — the campaign driver skips report files for
+/// interrupted rows so `--resume` re-runs them from scratch.
+fn failed_report(id: &'static str, status: RunStatus, note: &str) -> Report {
+    let (title, body) = if status == RunStatus::Interrupted {
+        (
+            "INTERRUPTED — campaign stopped before this experiment completed",
+            format!("This experiment was cancelled by a campaign interrupt; rerun with --resume.\ninterrupt: {note}\n"),
+        )
+    } else {
+        (
+            "DEGRADED — experiment failed under supervision",
+            format!("This experiment did not complete; the rest of the campaign ran on.\nlast failure: {note}\n"),
+        )
+    };
     Report {
         id,
-        title: "DEGRADED — experiment failed under supervision".to_string(),
-        body: format!(
-            "This experiment did not complete; the rest of the campaign ran on.\nlast failure: {note}\n"
-        ),
-    }
-}
-
-/// The placeholder report for a run cut short by a campaign interrupt.
-/// Never written to disk as the experiment's artifact — the campaign
-/// driver skips report files for interrupted rows so `--resume` re-runs
-/// them from scratch.
-fn interrupted_report(id: &'static str, note: &str) -> Report {
-    Report {
-        id,
-        title: "INTERRUPTED — campaign stopped before this experiment completed".to_string(),
-        body: format!(
-            "This experiment was cancelled by a campaign interrupt; rerun with --resume.\ninterrupt: {note}\n"
-        ),
+        title: title.to_string(),
+        body,
     }
 }
 
@@ -1682,16 +1561,44 @@ mod tests {
     }
 
     #[test]
-    fn pool_map_partial_stops_claiming_after_the_flag() {
-        let stop = AtomicBool::new(false);
-        let (slots, busy) = pool_map_partial(4, 1, Some(&stop), |i| {
-            if i == 1 {
-                stop.store(true, Ordering::SeqCst);
+    fn interrupted_campaign_returns_every_entry_unstarted() {
+        // With the interrupt flag already up, the pool still claims every
+        // unit, and each returns at once without running its body: the
+        // campaign gets a complete, all-`Interrupted` outcome list.
+        static BODY_RUNS: AtomicUsize = AtomicUsize::new(0);
+        fn counted_exp(seed: u64) -> Report {
+            BODY_RUNS.fetch_add(1, Ordering::SeqCst);
+            ok_exp(seed)
+        }
+        let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(true)));
+        let sup = Supervisor {
+            interrupt: Some(flag),
+            ..Supervisor::default()
+        };
+        let entries: [(&'static str, Experiment); 4] = [
+            ("a", counted_exp),
+            ("b", counted_exp),
+            ("c", counted_exp),
+            ("d", counted_exp),
+        ];
+        for jobs in [1, 3] {
+            let done: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+            let (outs, busy) = sup.run_registry_jobs_timed(&entries, 5, jobs, |i, _| {
+                done.lock().unwrap().push(i);
+            });
+            assert_eq!(busy.len(), jobs);
+            assert_eq!(outs.len(), entries.len());
+            for (o, (id, _)) in outs.iter().zip(&entries) {
+                assert_eq!(o.id, *id);
+                assert_eq!(o.status, RunStatus::Interrupted);
+                assert_eq!(o.attempts, 0);
+                assert_eq!(o.note.as_deref(), Some("interrupted before start"));
             }
-            i
-        });
-        assert_eq!(slots, vec![Some(0), Some(1), None, None]);
-        assert_eq!(busy.len(), 1);
+            let mut done = done.into_inner().unwrap();
+            done.sort();
+            assert_eq!(done, vec![0, 1, 2, 3], "on_done fires once per entry");
+        }
+        assert_eq!(BODY_RUNS.load(Ordering::SeqCst), 0, "no body ever ran");
     }
 
     #[test]
@@ -1720,7 +1627,7 @@ mod tests {
         let sup = Supervisor::default();
         let entries: [(&'static str, Experiment); 3] =
             [("ok", ok_exp), ("boom", panicky_exp), ("ok2", ok_exp)];
-        let outs = sup.run_registry(&entries, 9);
+        let outs = sup.run_registry_jobs_timed(&entries, 9, 1, |_, _| {}).0;
         assert_eq!(outs.len(), 3);
         assert_eq!(outs[0].status, RunStatus::Ok);
         assert_eq!(outs[1].status, RunStatus::Degraded);
@@ -1735,7 +1642,7 @@ mod tests {
     fn manifest_counts_degraded() {
         let sup = Supervisor::default();
         let entries: [(&'static str, Experiment); 2] = [("ok", ok_exp), ("boom", panicky_exp)];
-        let outs = sup.run_registry(&entries, 5);
+        let outs = sup.run_registry_jobs_timed(&entries, 5, 1, |_, _| {}).0;
         let m = manifest(&outs, 5, Some("chaos")).render();
         assert!(m.contains("\"seed\":5"));
         assert!(m.contains("\"scenario\":\"chaos\""));
@@ -1762,7 +1669,7 @@ mod tests {
         }
         let entries: [(&'static str, Experiment); 2] =
             [("rec", recovering_exp), ("boom", panicky_exp)];
-        let outs = sup.run_registry(&entries, 5);
+        let outs = sup.run_registry_jobs_timed(&entries, 5, 1, |_, _| {}).0;
         assert_eq!(outs[0].recovery.len(), 1, "collector captured the event");
         let text = manifest(&outs, 5, Some("chaos")).render();
         let (seed, scenario, parsed) = parse_manifest(&text).expect("parses");
@@ -1819,13 +1726,13 @@ mod tests {
                 scenario,
                 ..Supervisor::default()
             };
-            let serial = manifest(&sup.run_registry(&entries, 2021), 2021, Some("x")).render();
-            let parallel = manifest(
-                &sup.run_registry_jobs(&entries, 2021, 4, |_, _| {}),
-                2021,
-                Some("x"),
-            )
-            .render();
+            let run = |jobs| {
+                let outs = sup
+                    .run_registry_jobs_timed(&entries, 2021, jobs, |_, _| {})
+                    .0;
+                manifest(&outs, 2021, Some("x")).render()
+            };
+            let (serial, parallel) = (run(1), run(4));
             assert_eq!(serial, parallel, "jobs=4 must not perturb the manifest");
         }
     }
@@ -1836,7 +1743,7 @@ mod tests {
             [("ok", ok_exp), ("boom", panicky_exp), ("ok2", ok_exp)];
         let sup = Supervisor::default();
         let seen: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-        let outs = sup.run_registry_jobs(&entries, 5, 3, |i, o| {
+        let (outs, _) = sup.run_registry_jobs_timed(&entries, 5, 3, |i, o| {
             seen.lock().unwrap().push((i, o.id.to_string()));
         });
         assert_eq!(outs.len(), 3);

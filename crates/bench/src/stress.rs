@@ -14,8 +14,8 @@
 //! reproducer JSON that `figures --repro <file>` replays exactly.
 //!
 //! Everything here is deterministic by construction: cases are pure
-//! functions of `(stress seed, case index)`, execution installs the same
-//! ambient planes the supervised runner does
+//! functions of `(stress seed, case index)`, each case runs through the
+//! supervised runner's attempt executor, which installs its ambient planes
 //! ([`fiveg_simcore::ambient::install_schedule`] — so a shrunk, hand-edited
 //! schedule installs exactly like a generated one), and the summary table
 //! carries sim-side facts only (no wall-clock), so two runs of the same
@@ -24,14 +24,12 @@
 use crate::experiments::{self, Experiment};
 use crate::json::Json;
 use crate::report::Table;
-use fiveg_simcore::ambient;
+use crate::runner::{Failure, Supervisor};
 use fiveg_simcore::budget::EXHAUSTED_MSG;
-use fiveg_simcore::cancel::{self, CancelToken};
 use fiveg_simcore::faults::{FaultScenario, FaultSchedule};
 use fiveg_simcore::guard::{self, GuardPolicy, VIOLATION_MSG};
 use fiveg_simcore::RngStream;
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Reproducer file format version.
 pub const REPRO_VERSION: f64 = 1.0;
@@ -300,15 +298,6 @@ impl CaseOutcome {
     }
 }
 
-/// Extracts a readable note from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_else(|| "panic with non-string payload".to_string())
-}
-
 /// True when `text` contains a standalone `NaN` token (word-boundary
 /// checked, so "NaNometers" doesn't trip).
 ///
@@ -344,122 +333,73 @@ pub fn run_case(case: &StressCase, deadline: Duration) -> Result<CaseOutcome, St
         .map(|(_, f)| f)
         .ok_or_else(|| format!("unknown experiment {:?}", case.experiment))?;
     let schedule = case.schedule()?;
-    let seed = case.seed;
-    let event_budget = case.event_budget;
-    let canary = case.canary;
-    // The case thread arms a deadline-bearing cancellation token: a case
-    // that blows the wall-clock safety net unwinds at its next budget poll
-    // and exits, instead of leaking a spinning thread for the rest of the
-    // stress sweep.
-    let token = Arc::new(CancelToken::with_deadline(Instant::now() + deadline));
-    let case_token = Arc::clone(&token);
-    let (tx, rx) = mpsc::channel();
-    let spawned = std::thread::Builder::new()
-        .name(format!("stress-{}", case.id))
-        .spawn(move || {
-            // Same ambient world as a supervised campaign attempt, except
-            // the schedule may be a shrunk reproducer's.
-            let _ambient = ambient::install_schedule(
-                schedule,
-                event_budget,
-                false,
-                Some(GuardPolicy::Record),
-                Some(case_token),
-            );
-            if canary {
-                guard::check("stress", "canary", false, 0.0, || {
-                    "deliberately broken invariant (canary)".to_string()
-                });
-            }
-            let result = std::panic::catch_unwind(|| f(seed));
-            let guards = guard::drain();
-            let _ = tx.send(match result {
-                Ok(report) => Ok((report.render(), guards)),
-                Err(payload) => Err((panic_message(payload.as_ref()), guards)),
-            });
-        });
-    if let Err(e) = spawned {
-        return Err(format!("spawn failed: {e}"));
-    }
-    let outcome = match rx.recv_timeout(deadline) {
-        Ok(Ok((rendered, guards))) => {
-            if !guards.is_clean() {
-                CaseOutcome {
-                    verdict: Verdict::GuardViolation,
-                    signature: guards.violations[0].signature(),
-                    violations: guards.violation_count(),
-                }
-            } else if contains_non_finite(&rendered) {
-                CaseOutcome {
-                    verdict: Verdict::NonFinite,
-                    signature: "NaN in rendered artifact".to_string(),
-                    violations: 0,
-                }
-            } else {
-                CaseOutcome {
-                    verdict: Verdict::Pass,
-                    signature: String::new(),
-                    violations: 0,
-                }
-            }
-        }
-        Ok(Err((msg, guards))) => {
-            // A panic outranks recorded violations, except that a budget
-            // trip, a fail-fast guard panic, and a deadline cancellation
-            // each classify as themselves.
-            if cancel::is_cancel_panic(&msg) {
-                // The token's deadline fired and the case unwound
-                // cooperatively: same verdict and signature as the
-                // abandon path below, so `stress.txt` never depends on
-                // which side of the race the kill landed.
-                CaseOutcome {
-                    verdict: Verdict::Deadline,
-                    signature: format!("deadline exceeded ({:.1}s)", deadline.as_secs_f64()),
-                    violations: 0,
-                }
-            } else if msg.starts_with(EXHAUSTED_MSG) {
-                CaseOutcome {
-                    verdict: Verdict::BudgetExhausted,
-                    signature: EXHAUSTED_MSG.to_string(),
-                    violations: guards.violation_count(),
-                }
-            } else if msg.starts_with(VIOLATION_MSG) {
-                CaseOutcome {
-                    verdict: Verdict::GuardViolation,
-                    signature: msg
-                        .strip_prefix(VIOLATION_MSG)
-                        .unwrap_or(&msg)
-                        .trim_start_matches(": ")
-                        .to_string(),
-                    violations: guards.violation_count().max(1),
-                }
-            } else {
-                CaseOutcome {
-                    verdict: Verdict::Panic,
-                    signature: msg,
-                    violations: guards.violation_count(),
-                }
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            // The armed token self-cancels at the case's next budget poll;
-            // give the thread a short grace to unwind before abandoning it
-            // (a case that never polls — e.g. wedged outside the budgeted
-            // loops — still leaks, as before, but now only those do).
-            let _ = rx.recv_timeout(Duration::from_secs(2));
-            CaseOutcome {
-                verdict: Verdict::Deadline,
-                signature: format!("deadline exceeded ({:.1}s)", deadline.as_secs_f64()),
-                violations: 0,
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => CaseOutcome {
-            verdict: Verdict::Deadline,
-            signature: format!("deadline exceeded ({:.1}s)", deadline.as_secs_f64()),
-            violations: 0,
-        },
+    let (seed, canary) = (case.seed, case.canary);
+    // The case runs through the campaign's attempt executor: the same
+    // ambient world as a supervised attempt (except that the schedule may
+    // be a shrunk reproducer's), the same deadline-bearing cancellation
+    // token and escalation ladder, and no retry. `stall = deadline` keeps
+    // the progress watchdog from firing before the deadline does.
+    let supervisor = Supervisor {
+        event_budget: case.event_budget,
+        deadline,
+        stall: deadline,
+        retries: 0,
+        guards: Some(GuardPolicy::Record),
+        ..Supervisor::default()
     };
-    Ok(outcome)
+    let attempt = supervisor.execute(format!("stress-{}", case.id), schedule, move || {
+        if canary {
+            guard::check("stress", "canary", false, 0.0, || {
+                "deliberately broken invariant (canary)".to_string()
+            });
+        }
+        f(seed).render()
+    });
+    let guards = attempt.drained.guards;
+    let outcome = |verdict, signature, violations| CaseOutcome {
+        verdict,
+        signature,
+        violations,
+    };
+    Ok(match attempt.result {
+        Ok(_) if !guards.is_clean() => outcome(
+            Verdict::GuardViolation,
+            guards.violations[0].signature(),
+            guards.violation_count(),
+        ),
+        Ok(rendered) if contains_non_finite(&rendered) => outcome(
+            Verdict::NonFinite,
+            "NaN in rendered artifact".to_string(),
+            0,
+        ),
+        Ok(_) => outcome(Verdict::Pass, String::new(), 0),
+        // A panic outranks recorded violations, except that a budget trip
+        // and a fail-fast guard panic each classify as themselves.
+        Err(Failure::Panic(msg)) if msg.starts_with(EXHAUSTED_MSG) => outcome(
+            Verdict::BudgetExhausted,
+            EXHAUSTED_MSG.to_string(),
+            guards.violation_count(),
+        ),
+        Err(Failure::Panic(msg)) if msg.starts_with(VIOLATION_MSG) => outcome(
+            Verdict::GuardViolation,
+            msg.strip_prefix(VIOLATION_MSG)
+                .unwrap_or(&msg)
+                .trim_start_matches(": ")
+                .to_string(),
+            guards.violation_count().max(1),
+        ),
+        Err(Failure::Panic(msg) | Failure::Died(msg)) => {
+            outcome(Verdict::Panic, msg, guards.violation_count())
+        }
+        // Cancelled or abandoned, the deadline fired: one verdict and
+        // signature, so `stress.txt` never depends on which side of the
+        // race the kill landed.
+        Err(Failure::Cancelled { .. } | Failure::Abandoned { .. }) => outcome(
+            Verdict::Deadline,
+            format!("deadline exceeded ({:.1}s)", deadline.as_secs_f64()),
+            0,
+        ),
+    })
 }
 
 /// Generates the campaign's cases: pure function of the config (and

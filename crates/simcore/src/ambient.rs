@@ -3,18 +3,18 @@
 //! A supervised experiment attempt needs its thread-local planes installed
 //! on its (fresh) thread before the experiment body runs: the
 //! deterministic fault plane, the recovery-event collector, the telemetry
-//! collector, the invariant guard collector, and the event budget. The
-//! serial runner has always installed them inline; with the parallel
-//! campaign scheduler many worker threads spawn attempt threads
-//! concurrently, so the install sequence lives here — one helper both
-//! paths call, keeping "what an attempt's ambient world looks like"
-//! defined in exactly one place.
+//! collector, the invariant guard collector, the event budget, and the
+//! cancellation token. Many worker threads spawn attempt threads
+//! concurrently, so the install sequence lives here — one helper, keeping
+//! "what an attempt's ambient world looks like" defined in exactly one
+//! place.
 //!
 //! Invariants the helper preserves:
 //!
-//! * the fault plane is generated from `(attempt_seed, scenario)` only — no
-//!   shared RNG, so attempt N of experiment E sees the same schedule no
-//!   matter which worker runs it, or in what order;
+//! * the fault plane is exactly the schedule the caller hands in — the
+//!   supervised runner generates it from `(attempt_seed, scenario)` only,
+//!   with no shared RNG, so attempt N of experiment E sees the same
+//!   schedule no matter which worker runs it, or in what order;
 //! * the recovery collector is installed only alongside a fault schedule,
 //!   so fault-free campaigns report zero recovery events by construction;
 //! * the telemetry collector is installed only when asked for, so
@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use crate::budget::{self, BudgetGuard};
 use crate::cancel::{self, CancelGuard, CancelToken};
-use crate::faults::{self, FaultScenario, FaultSchedule, PlaneGuard};
+use crate::faults::{self, FaultSchedule, PlaneGuard};
 use crate::guard::{self, GuardPolicy, GuardsGuard};
 use crate::recovery::{self, CollectorGuard};
 use crate::telemetry::{self, TelemetryGuard};
@@ -50,37 +50,15 @@ pub struct AmbientGuard {
 }
 
 /// Installs the ambient planes for one supervised attempt on the current
-/// thread: the fault plane generated from `(seed, scenario)` (skipped when
-/// `scenario` is `None`), the recovery collector (only alongside a
-/// scenario), the telemetry collector (only when `telemetry` — off by
-/// default, so uninstrumented campaigns stay byte-identical by
-/// construction), the invariant guard collector (when `guards` names a
-/// policy — the supervised runner defaults to [`GuardPolicy::Record`]),
-/// an armed event budget, and the cooperative cancellation token (when
-/// `cancel` carries the supervisor's end — `None` leaves the plane
-/// disarmed and free).
-pub fn install_attempt(
-    scenario: Option<&FaultScenario>,
-    seed: u64,
-    event_budget: u64,
-    telemetry: bool,
-    guards: Option<GuardPolicy>,
-    cancel: Option<Arc<CancelToken>>,
-) -> AmbientGuard {
-    install_schedule(
-        scenario.map(|sc| FaultSchedule::generate(seed, sc)),
-        event_budget,
-        telemetry,
-        guards,
-        cancel,
-    )
-}
-
-/// Like [`install_attempt`], but with an explicit, possibly hand-edited
-/// fault schedule. The stress harness uses this to replay shrunk
-/// reproducers: a minimized schedule (events dropped, horizon truncated)
-/// installs exactly as the generated one would, so a reproducer's world is
-/// bit-identical on every replay.
+/// thread: the fault plane of `schedule` (skipped when `None`; a shrunk,
+/// hand-edited reproducer schedule installs exactly like a generated one),
+/// the recovery collector (only alongside a schedule), the telemetry
+/// collector (only when `telemetry` — off by default, so uninstrumented
+/// campaigns stay byte-identical by construction), the invariant guard
+/// collector (when `guards` names a policy — the supervised runner defaults
+/// to [`GuardPolicy::Record`]), an armed event budget, and the cooperative
+/// cancellation token (when `cancel` carries the supervisor's end — `None`
+/// leaves the plane disarmed and free).
 pub fn install_schedule(
     schedule: Option<FaultSchedule>,
     event_budget: u64,
@@ -102,11 +80,12 @@ pub fn install_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultScenario;
 
     #[test]
     fn no_scenario_installs_budget_only() {
         {
-            let _g = install_attempt(None, 7, 100, false, None, None);
+            let _g = install_schedule(None, 100, false, None, None);
             assert!(!faults::enabled());
             assert!(!recovery::enabled());
             assert!(!telemetry::enabled());
@@ -119,7 +98,8 @@ mod tests {
     #[test]
     fn scenario_installs_all_three_and_uninstalls_on_drop() {
         {
-            let _g = install_attempt(Some(&FaultScenario::chaos()), 7, 100, false, None, None);
+            let schedule = FaultSchedule::generate(7, &FaultScenario::chaos());
+            let _g = install_schedule(Some(schedule), 100, false, None, None);
             assert!(faults::enabled());
             assert!(recovery::enabled());
             assert!(!telemetry::enabled(), "telemetry stays opt-in");
@@ -134,7 +114,7 @@ mod tests {
     #[cfg(feature = "telemetry")]
     fn telemetry_flag_installs_the_collector() {
         {
-            let _g = install_attempt(None, 7, 100, true, None, None);
+            let _g = install_schedule(None, 100, true, None, None);
             assert!(telemetry::enabled());
             assert!(!faults::enabled(), "telemetry does not drag faults in");
         }
@@ -145,28 +125,12 @@ mod tests {
     #[cfg(feature = "guards")]
     fn guard_policy_installs_the_collector() {
         {
-            let _g = install_attempt(None, 7, 100, false, Some(GuardPolicy::Record), None);
+            let _g = install_schedule(None, 100, false, Some(GuardPolicy::Record), None);
             assert!(guard::enabled());
             assert!(!faults::enabled(), "guards do not drag faults in");
             assert!(!telemetry::enabled());
         }
         assert!(!guard::enabled());
-    }
-
-    #[test]
-    fn explicit_schedule_installs_like_the_generated_one() {
-        let sc = FaultScenario::chaos();
-        let schedule = FaultSchedule::generate(11, &sc);
-        {
-            let _g = install_schedule(Some(schedule), 100, false, None, None);
-            assert!(faults::enabled());
-            assert!(
-                recovery::enabled(),
-                "a schedule brings the recovery collector"
-            );
-        }
-        assert!(!faults::enabled());
-        assert!(!recovery::enabled());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * a [`CancelToken`] is shared between the supervising thread (which
 //!   holds an `Arc` and may call [`CancelToken::kill`]) and the attempt
 //!   thread (which arms it thread-locally via [`arm`], usually through
-//!   `ambient::install_attempt`);
+//!   `ambient::install_schedule`);
 //! * [`observe`] sits on the existing `budget::charge` thread-local hot
 //!   path. Disarmed — the default everywhere outside the supervised
 //!   runner — it is one thread-local load and a branch, and it **never

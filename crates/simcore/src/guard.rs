@@ -10,7 +10,7 @@
 //! [`crate::telemetry`]:
 //!
 //! * a thread-local collector, installed per experiment attempt (by
-//!   `simcore::ambient::install_attempt`) and uninstalled when the guard
+//!   `simcore::ambient::install_schedule`) and uninstalled when the guard
 //!   drops, so parallel campaign workers never share state;
 //! * hooks that cost one thread-local boolean load when no collector is
 //!   installed, that **never mutate simulation state**, and that **never

@@ -171,7 +171,9 @@ fn bonded_chaos_run_is_deterministic_and_distinct_from_quiet() {
 fn bonded_uplink_artifact_bytes_survive_pool_and_no_shard() {
     let entries = vec![registry_entry("bonded-uplink")];
     let render = |sup: &Supervisor, jobs: usize| {
-        let outcomes = sup.run_registry_jobs(&entries, SEED, jobs, |_, _| {});
+        let outcomes = sup
+            .run_registry_jobs_timed(&entries, SEED, jobs, |_, _| {})
+            .0;
         assert_eq!(outcomes[0].status, RunStatus::Ok, "{:?}", outcomes[0].note);
         let rows: Vec<ManifestEntry> = outcomes.iter().map(ManifestEntry::from_outcome).collect();
         (

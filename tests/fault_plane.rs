@@ -330,7 +330,7 @@ fn registry_subset_completes_under_chaos() {
         .filter(|(id, _)| ["table2", "fig9", "fig10"].contains(id))
         .collect();
     assert_eq!(subset.len(), 3);
-    let outcomes = sup.run_registry(&subset, 2021);
+    let outcomes = sup.run_registry_jobs_timed(&subset, 2021, 1, |_, _| {}).0;
     for o in &outcomes {
         assert!(!o.report.render().is_empty());
     }

@@ -37,7 +37,9 @@ fn run(guards: Option<GuardPolicy>, jobs: usize) -> Vec<RunOutcome> {
         guards,
         ..Supervisor::default()
     };
-    supervisor.run_registry_jobs(&subset(), 2021, jobs, |_, _| {})
+    supervisor
+        .run_registry_jobs_timed(&subset(), 2021, jobs, |_, _| {})
+        .0
 }
 
 /// The serial guarded run, shared by several tests (the subset is

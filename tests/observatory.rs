@@ -41,7 +41,9 @@ fn run(jobs: usize) -> Vec<RunOutcome> {
         telemetry: true,
         ..Supervisor::default()
     };
-    supervisor.run_registry_jobs(&subset(), 2021, jobs, |_, _| {})
+    supervisor
+        .run_registry_jobs_timed(&subset(), 2021, jobs, |_, _| {})
+        .0
 }
 
 fn per_experiment(outcomes: &[RunOutcome]) -> Vec<(String, AttemptTelemetry)> {

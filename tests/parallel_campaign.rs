@@ -39,7 +39,9 @@ fn subset() -> Vec<(&'static str, Experiment)> {
 
 fn manifest_bytes(sup: &Supervisor, jobs: usize, seed: u64, scenario: Option<&str>) -> String {
     let entries = subset();
-    let outcomes = sup.run_registry_jobs(&entries, seed, jobs, |_, _| {});
+    let outcomes = sup
+        .run_registry_jobs_timed(&entries, seed, jobs, |_, _| {})
+        .0;
     let rows: Vec<ManifestEntry> = outcomes.iter().map(ManifestEntry::from_outcome).collect();
     manifest_from_entries(&rows, seed, scenario).render()
 }

@@ -242,7 +242,7 @@ fn chaos_campaign_manifest_round_trips_with_recoveries() {
         .into_iter()
         .filter(|(id, _)| ["table2", "fig9", "fig10"].contains(id))
         .collect();
-    let outcomes = sup.run_registry(&subset, 2021);
+    let outcomes = sup.run_registry_jobs_timed(&subset, 2021, 1, |_, _| {}).0;
     let text = runner::manifest(&outcomes, 2021, Some("chaos")).render();
     let (seed, scenario, entries) = runner::parse_manifest(&text).expect("parses");
     assert_eq!(seed, 2021);

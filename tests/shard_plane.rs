@@ -169,7 +169,9 @@ fn sharded_run_equals_out_of_order_manual_merge() {
 fn real_experiment_bytes_survive_pool_and_no_shard() {
     let entries = vec![registry_entry("fig18c")];
     let render = |sup: &Supervisor, jobs: usize| {
-        let outcomes = sup.run_registry_jobs(&entries, SEED, jobs, |_, _| {});
+        let outcomes = sup
+            .run_registry_jobs_timed(&entries, SEED, jobs, |_, _| {})
+            .0;
         assert_eq!(outcomes[0].status, RunStatus::Ok, "{:?}", outcomes[0].note);
         let rows: Vec<ManifestEntry> = outcomes.iter().map(ManifestEntry::from_outcome).collect();
         (

@@ -8,7 +8,10 @@
 //!    reproducer that replays to the identical violation — twice.
 //! 3. **Quiet is clean** — the unfaulted simulation sails through a
 //!    seeded sweep with zero failures.
+//! 4. **Deadlines unwind** — a case that blows its wall-clock deadline
+//!    classifies as `deadline` and its thread exits instead of leaking.
 
+use fiveg_bench::runner;
 use fiveg_bench::stress::{
     self, replay_repro, repro_json, run_case, run_stress, shrink, stress_table, StressConfig,
     Verdict,
@@ -124,4 +127,24 @@ fn shrink_preserves_a_budget_exhaustion_key() {
     assert_eq!(small_out.verdict, Verdict::BudgetExhausted);
     assert!(small.size() <= case.size());
     assert!(small.event_budget <= case.event_budget);
+}
+
+#[test]
+fn blown_deadline_classifies_as_deadline_without_leaking() {
+    // fig15's walking loops and tree training charge the event budget, so
+    // a case that blows its wall-clock deadline is cancelled cooperatively
+    // and unwinds: the verdict is `Deadline` and no thread is abandoned.
+    let case = stress::generate_cases(&StressConfig {
+        cases: 1,
+        seed: 5,
+        scenario: Some("quiet".to_string()),
+        experiments: Some(vec!["fig15".to_string()]),
+        ..StressConfig::default()
+    })
+    .remove(0);
+    let leaked_before = runner::leaked_threads();
+    let out = run_case(&case, Duration::from_millis(50)).expect("valid case");
+    assert_eq!(out.verdict, Verdict::Deadline, "{}", out.signature);
+    assert_eq!(out.signature, "deadline exceeded (0.1s)");
+    assert_eq!(runner::leaked_threads(), leaked_before, "no thread leaked");
 }

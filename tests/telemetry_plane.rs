@@ -40,7 +40,9 @@ fn run(telemetry_on: bool, jobs: usize) -> Vec<RunOutcome> {
         telemetry: telemetry_on,
         ..Supervisor::default()
     };
-    supervisor.run_registry_jobs(&subset(), 2021, jobs, |_, _| {})
+    supervisor
+        .run_registry_jobs_timed(&subset(), 2021, jobs, |_, _| {})
+        .0
 }
 
 /// The serial instrumented run, shared by several tests (the subset is
