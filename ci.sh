@@ -326,10 +326,12 @@ echo "==> strict gate: healthy campaign"
 "$FIG" --seed 2021 --strict --out "$SMOKE_DIR/strict-ok" table2 > /dev/null
 
 # --- Campaign perf baseline ---------------------------------------------------
-# Record the full-campaign wall clock and events/sec on all cores into
-# results/BENCH_campaign.json (kept out of manifest.json so manifests stay
-# byte-comparable across machines). The same run renders the full quiet
-# campaign for the paper-fidelity gate below.
+# Time the full campaign on all cores into a fresh sample under $SMOKE_DIR
+# (kept out of manifest.json so manifests stay byte-comparable across
+# machines). The tracked results/BENCH_campaign.json is never rewritten
+# here: it is the committed baseline the samples and the manifest are
+# gated against. The same run renders the full quiet campaign for the
+# paper-fidelity gate below.
 #
 # Each timed sample is first compared against the *committed* baseline via
 # --bench-baseline: a per-experiment wall-clock regression beyond the
@@ -349,21 +351,21 @@ for i in $(seq 1 "$SAMPLES"); do
     "$FIG" --seed 2021 --out "$SMOKE_DIR/quiet-all" --bench-out "$SMOKE_DIR/bench-$i.json" \
         --bench-baseline results/BENCH_campaign.json $STRICT_FLAG all > /dev/null
 done
-cp "$SMOKE_DIR/bench-$SAMPLES.json" results/BENCH_campaign.json
-grep -o '"speedup_est":[0-9.]*' results/BENCH_campaign.json
+BENCH_SAMPLE="$SMOKE_DIR/bench-$SAMPLES.json"
+grep -o '"speedup_est":[0-9.]*' "$BENCH_SAMPLE"
 
 # The sharded fig15 must charge budget events now that the walking loops
 # and mlkit training are metered — zero means the accounting regressed.
-fig15_events=$(grep -o '"id":"fig15"[^}]*' results/BENCH_campaign.json | grep -o '"events":[0-9]*' | head -1 | cut -d: -f2)
+fig15_events=$(grep -o '"id":"fig15"[^}]*' "$BENCH_SAMPLE" | grep -o '"events":[0-9]*' | head -1 | cut -d: -f2)
 if [ -z "${fig15_events:-}" ] || [ "$fig15_events" -eq 0 ]; then
-    echo "error: fig15 recorded zero budget events in BENCH_campaign.json" >&2
+    echo "error: fig15 recorded zero budget events in the fresh bench sample" >&2
     exit 1
 fi
 
-# The freshly regenerated baseline must accept the manifest it was derived
-# from under --check-strict (seed, scenario, statuses, and recovery-event
-# counts all within the tolerance bands).
-echo "==> manifest gate: --check-strict against the fresh perf baseline"
+# The committed baseline must accept the fresh campaign's manifest under
+# --check-strict: seed, scenario, statuses, and recovery-event counts are
+# deterministic, so any drift from the tracked file is a real change.
+echo "==> manifest gate: --check-strict against the committed perf baseline"
 "$FIG" --check-strict --check-manifest "$SMOKE_DIR/quiet-all/manifest.json" > /dev/null
 
 # --- Observatory baseline ------------------------------------------------------

@@ -689,6 +689,68 @@ fn write_or_die(path: &Path, contents: &str) {
     }
 }
 
+/// Prints `{flag} needs {what}` and exits 2: the one error shape of every
+/// malformed valued flag.
+fn bad_value(flag: &str, what: &str) -> ! {
+    eprintln!("{flag} needs {what}");
+    std::process::exit(2);
+}
+
+// The command line is consumed in place: a parsed flag's slots are blanked
+// rather than removed, so a flag parsed later still sees exactly what
+// followed it on the command line. `main` drops the blanks at the end.
+
+/// Consumes the boolean `flag`; true when it was given.
+fn take_flag(args: &mut [String], flag: &str) -> bool {
+    args.iter_mut()
+        .find(|a| *a == flag)
+        .map(String::clear)
+        .is_some()
+}
+
+/// Consumes the value in slot `pos`; exits 2 via [`bad_value`] when it is
+/// missing, already consumed, or itself a flag, so `--out --chaos chaos`
+/// never swallows `--chaos`.
+fn take_at(args: &mut [String], pos: usize, flag: &str, what: &str) -> String {
+    match args.get_mut(pos) {
+        Some(v) if !v.is_empty() && !v.starts_with("--") => std::mem::take(v),
+        _ => bad_value(flag, what),
+    }
+}
+
+/// Consumes `flag` and its value: `None` when the flag is absent, the
+/// value otherwise (exiting 2 on a missing value).
+fn take_value(args: &mut [String], flag: &str, what: &str) -> Option<String> {
+    let pos = args.iter().position(|a| a == flag)?;
+    args[pos].clear();
+    Some(take_at(args, pos + 1, flag, what))
+}
+
+/// [`take_value`] parsed as `T` and accepted by `ok`; exits 2 with the
+/// flag's message when the value does not parse or is rejected.
+fn take_parsed<T: std::str::FromStr>(
+    args: &mut [String],
+    flag: &str,
+    what: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Option<T> {
+    let raw = take_value(args, flag, what)?;
+    Some(
+        raw.parse()
+            .ok()
+            .filter(|v| ok(v))
+            .unwrap_or_else(|| bad_value(flag, what)),
+    )
+}
+
+/// Creates `dir` (and its parents) or exits 2.
+fn create_dir_or_die(dir: &Path) {
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("cannot create {}: {e}", dir.display());
+        std::process::exit(2);
+    }
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list-scenarios") {
@@ -698,38 +760,21 @@ fn main() {
     // The strict toggles are parsed before their dispatching flags so
     // `--check-strict --check-manifest <m>` and `--obs-strict --obs-diff
     // <a> <b>` work in any argument order.
-    let mut check_strict = false;
-    if let Some(pos) = args.iter().position(|a| a == "--check-strict") {
-        args.remove(pos);
-        check_strict = true;
-    }
-    let mut obs_strict = false;
-    if let Some(pos) = args.iter().position(|a| a == "--obs-strict") {
-        args.remove(pos);
-        obs_strict = true;
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--check-manifest") {
-        let path = args.get(pos + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--check-manifest needs a manifest path");
-            std::process::exit(2);
-        });
+    let check_strict = take_flag(&mut args, "--check-strict");
+    let obs_strict = take_flag(&mut args, "--obs-strict");
+    if let Some(path) = take_value(&mut args, "--check-manifest", "a manifest path") {
         check_manifest(&path, check_strict);
     }
     if let Some(pos) = args.iter().position(|a| a == "--obs-diff") {
-        let baseline = args.get(pos + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--obs-diff needs <baseline> <current> metrics.json paths");
-            std::process::exit(2);
-        });
-        let current = args.get(pos + 2).cloned().unwrap_or_else(|| {
-            eprintln!("--obs-diff needs <baseline> <current> metrics.json paths");
-            std::process::exit(2);
-        });
+        let need = "<baseline> <current> metrics.json paths";
+        let baseline = take_at(&mut args, pos + 1, "--obs-diff", need);
+        let current = take_at(&mut args, pos + 2, "--obs-diff", need);
         obs_diff(&baseline, &current, obs_strict);
     }
     if let Some(pos) = args.iter().position(|a| a == "--validate") {
         let dir = args
             .get(pos + 1)
-            .filter(|a| !a.starts_with("--"))
+            .filter(|a| !a.is_empty() && !a.starts_with("--"))
             .cloned()
             .unwrap_or_else(|| "results".to_string());
         validate(&dir);
@@ -739,72 +784,25 @@ fn main() {
     // Both track "was the flag given" (`None` = flag absent) because the
     // campaign supervisor and the stress harness have *different* built-in
     // defaults that must not clobber each other.
-    let mut deadline_s: Option<f64> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--deadline-s") {
-        args.remove(pos);
-        let secs: f64 = args
-            .get(pos)
-            .and_then(|s| s.parse().ok())
-            .filter(|&s: &f64| s > 0.0 && s.is_finite())
-            .unwrap_or_else(|| {
-                eprintln!("--deadline-s needs a positive number of seconds");
-                std::process::exit(2);
-            });
-        args.remove(pos);
-        deadline_s = Some(secs);
-    }
-    let mut event_budget: Option<u64> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--event-budget") {
-        args.remove(pos);
-        let n: u64 = args
-            .get(pos)
-            .and_then(|s| s.parse().ok())
-            // u64::MAX is the budget plane's "disarmed" sentinel; a real
-            // budget must stay below it.
-            .filter(|n| (1..u64::MAX).contains(n))
-            .unwrap_or_else(|| {
-                eprintln!("--event-budget needs a positive event count");
-                std::process::exit(2);
-            });
-        args.remove(pos);
-        event_budget = Some(n);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--repro") {
-        let path = args.get(pos + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--repro needs a reproducer file path");
-            std::process::exit(2);
+    let deadline_s: Option<f64> = take_parsed(
+        &mut args,
+        "--deadline-s",
+        "a positive number of seconds",
+        |&s: &f64| s > 0.0 && s.is_finite(),
+    );
+    // u64::MAX is the budget plane's "disarmed" sentinel; a real budget
+    // must stay below it.
+    let event_budget: Option<u64> =
+        take_parsed(&mut args, "--event-budget", "a positive event count", |n| {
+            (1..u64::MAX).contains(n)
         });
+    if let Some(path) = take_value(&mut args, "--repro", "a reproducer file path") {
         let deadline = std::time::Duration::from_secs_f64(deadline_s.unwrap_or(120.0));
         replay_repro(&path, deadline);
     }
-    let mut strict = false;
-    if let Some(pos) = args.iter().position(|a| a == "--strict") {
-        args.remove(pos);
-        strict = true;
-    }
-    let mut seed = CAMPAIGN_SEED;
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
-        args.remove(pos);
-        seed = args
-            .get(pos)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--seed needs an integer");
-                std::process::exit(2);
-            });
-        args.remove(pos);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--cc") {
-        args.remove(pos);
-        let name = args
-            .get(pos)
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| {
-                eprintln!("--cc needs a controller name (bbr or nada)");
-                std::process::exit(2);
-            });
-        args.remove(pos);
+    let strict = take_flag(&mut args, "--strict");
+    let seed = take_parsed(&mut args, "--seed", "an integer", |_| true).unwrap_or(CAMPAIGN_SEED);
+    if let Some(name) = take_value(&mut args, "--cc", "a controller name (bbr or nada)") {
         let algo = fiveg_transport::tcp::CcAlgo::parse(&name)
             .filter(|a| a.is_rate_based())
             .unwrap_or_else(|| {
@@ -819,211 +817,94 @@ fn main() {
             );
         }
     }
-    let mut out_dir: Option<PathBuf> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--out") {
-        args.remove(pos);
-        let dir = args.get(pos).cloned().unwrap_or_else(|| {
-            eprintln!("--out needs a directory");
-            std::process::exit(2);
-        });
-        args.remove(pos);
-        let path = PathBuf::from(dir);
-        if let Err(e) = std::fs::create_dir_all(&path) {
-            eprintln!("cannot create {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        out_dir = Some(path);
-    }
-    let mut scenario: Option<FaultScenario> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--chaos") {
-        args.remove(pos);
-        let name = args
-            .get(pos)
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| {
-                eprintln!("--chaos needs a scenario name; available scenarios:");
-                print_scenarios();
-                std::process::exit(2);
-            });
-        args.remove(pos);
-        scenario = Some(FaultScenario::by_name(&name).unwrap_or_else(|| {
+    let out_dir = take_value(&mut args, "--out", "a directory").map(PathBuf::from);
+    let scenario = take_value(
+        &mut args,
+        "--chaos",
+        "a scenario name (see --list-scenarios)",
+    )
+    .map(|name| {
+        FaultScenario::by_name(&name).unwrap_or_else(|| {
             eprintln!("unknown scenario: {name}; available scenarios:");
             print_scenarios();
             std::process::exit(2);
-        }));
+        })
+    });
+    let resume = take_flag(&mut args, "--resume");
+    if resume && out_dir.is_none() {
+        eprintln!("--resume needs --out (the manifest lives there)");
+        std::process::exit(2);
     }
-    let mut resume = false;
-    if let Some(pos) = args.iter().position(|a| a == "--resume") {
-        args.remove(pos);
-        resume = true;
-        if out_dir.is_none() {
-            eprintln!("--resume needs --out (the manifest lives there)");
-            std::process::exit(2);
-        }
+    let jobs = take_parsed(&mut args, "--jobs", "a positive integer", |&n: &usize| {
+        n >= 1
+    })
+    .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
+    let no_shard = take_flag(&mut args, "--no-shard");
+    let profile = take_flag(&mut args, "--profile");
+    if profile && !fiveg_simcore::telemetry::compiled() {
+        eprintln!(
+            "warning: built without the `telemetry` feature — \
+             --profile will show no spans"
+        );
     }
-    let mut jobs = std::thread::available_parallelism().map_or(1, usize::from);
-    if let Some(pos) = args.iter().position(|a| a == "--jobs") {
-        args.remove(pos);
-        jobs = args
-            .get(pos)
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                eprintln!("--jobs needs a positive integer");
-                std::process::exit(2);
-            });
-        args.remove(pos);
+    let bench_baseline =
+        take_value(&mut args, "--bench-baseline", "a BENCH_campaign.json path").map(PathBuf::from);
+    let bench_strict = take_flag(&mut args, "--bench-strict");
+    if bench_strict && bench_baseline.is_none() {
+        eprintln!("--bench-strict needs --bench-baseline <path> to compare against");
+        std::process::exit(2);
     }
-    let mut no_shard = false;
-    if let Some(pos) = args.iter().position(|a| a == "--no-shard") {
-        args.remove(pos);
-        no_shard = true;
-    }
-    let mut profile = false;
-    if let Some(pos) = args.iter().position(|a| a == "--profile") {
-        args.remove(pos);
-        profile = true;
-        if !fiveg_simcore::telemetry::compiled() {
-            eprintln!(
-                "warning: built without the `telemetry` feature — \
-                 --profile will show no spans"
-            );
-        }
-    }
-    let mut bench_baseline: Option<PathBuf> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--bench-baseline") {
-        args.remove(pos);
-        let path = args.get(pos).cloned().unwrap_or_else(|| {
-            eprintln!("--bench-baseline needs a BENCH_campaign.json path");
-            std::process::exit(2);
-        });
-        args.remove(pos);
-        bench_baseline = Some(PathBuf::from(path));
-    }
-    let mut bench_strict = false;
-    if let Some(pos) = args.iter().position(|a| a == "--bench-strict") {
-        args.remove(pos);
-        bench_strict = true;
-        if bench_baseline.is_none() {
-            eprintln!("--bench-strict needs --bench-baseline <path> to compare against");
-            std::process::exit(2);
-        }
-    }
-    let mut bench_out: Option<PathBuf> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--bench-out") {
-        args.remove(pos);
-        let path = args.get(pos).cloned().unwrap_or_else(|| {
-            eprintln!("--bench-out needs a file path");
-            std::process::exit(2);
-        });
-        args.remove(pos);
-        let path = PathBuf::from(path);
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("cannot create {}: {e}", parent.display());
-                std::process::exit(2);
-            }
-        }
-        bench_out = Some(path);
-    }
-    let mut telemetry_dir: Option<PathBuf> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--telemetry") {
-        args.remove(pos);
-        let dir = args.get(pos).cloned().unwrap_or_else(|| {
-            eprintln!("--telemetry needs a directory");
-            std::process::exit(2);
-        });
-        args.remove(pos);
-        let path = PathBuf::from(dir);
-        if let Err(e) = std::fs::create_dir_all(&path) {
-            eprintln!("cannot create {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        if !fiveg_simcore::telemetry::compiled() {
-            eprintln!(
-                "warning: built without the `telemetry` feature — \
-                 telemetry files will be empty"
-            );
-        }
-        telemetry_dir = Some(path);
-    }
-    let mut obs_dir: Option<PathBuf> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--obs") {
-        args.remove(pos);
-        let dir = args.get(pos).cloned().unwrap_or_else(|| {
-            eprintln!("--obs needs a directory");
-            std::process::exit(2);
-        });
-        args.remove(pos);
-        let path = PathBuf::from(dir);
-        if let Err(e) = std::fs::create_dir_all(&path) {
-            eprintln!("cannot create {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        if !fiveg_simcore::telemetry::compiled() {
-            eprintln!(
-                "warning: built without the `telemetry` feature — \
-                 observatory files will be empty"
-            );
-        }
-        obs_dir = Some(path);
-    }
+    let bench_out = take_value(&mut args, "--bench-out", "a file path").map(PathBuf::from);
+    let telemetry_dir = take_value(&mut args, "--telemetry", "a directory").map(PathBuf::from);
+    let obs_dir = take_value(&mut args, "--obs", "a directory").map(PathBuf::from);
 
     // Stress flags: parsed after the shared flags (`--out`, `--jobs`) so
     // the harness inherits them, dispatched before the campaign path.
-    let mut stress_cases: Option<usize> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--stress") {
-        args.remove(pos);
-        stress_cases = Some(
-            args.get(pos)
-                .and_then(|s| s.parse().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| {
-                    eprintln!("--stress needs a positive case count");
-                    std::process::exit(2);
-                }),
-        );
-        args.remove(pos);
-    }
-    let mut stress_seed = CAMPAIGN_SEED;
-    if let Some(pos) = args.iter().position(|a| a == "--stress-seed") {
-        args.remove(pos);
-        stress_seed = args
-            .get(pos)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--stress-seed needs an integer");
-                std::process::exit(2);
-            });
-        args.remove(pos);
-    }
-    let mut stress_scenario: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--stress-scenario") {
-        args.remove(pos);
-        let name = args
-            .get(pos)
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| {
-                eprintln!("--stress-scenario needs a scenario name; available scenarios:");
-                print_scenarios();
-                std::process::exit(2);
-            });
-        args.remove(pos);
-        if FaultScenario::by_name(&name).is_none() {
+    let stress_cases = take_parsed(
+        &mut args,
+        "--stress",
+        "a positive case count",
+        |&n: &usize| n >= 1,
+    );
+    let stress_seed =
+        take_parsed(&mut args, "--stress-seed", "an integer", |_| true).unwrap_or(CAMPAIGN_SEED);
+    let stress_scenario = take_value(
+        &mut args,
+        "--stress-scenario",
+        "a scenario name (see --list-scenarios)",
+    );
+    if let Some(name) = &stress_scenario {
+        if FaultScenario::by_name(name).is_none() {
             eprintln!("unknown scenario: {name}; available scenarios:");
             print_scenarios();
             std::process::exit(2);
         }
-        stress_scenario = Some(name);
     }
-    let mut stress_canary = false;
-    if let Some(pos) = args.iter().position(|a| a == "--stress-canary") {
-        args.remove(pos);
-        stress_canary = true;
-    }
+    let stress_canary = take_flag(&mut args, "--stress-canary");
+    // Output directories are created only once the whole command line has
+    // parsed, so a malformed one leaves nothing behind.
+    let make_dirs = || {
+        for dir in [&out_dir, &telemetry_dir, &obs_dir].into_iter().flatten() {
+            create_dir_or_die(dir);
+        }
+        if let Some(parent) = bench_out
+            .as_deref()
+            .and_then(Path::parent)
+            .filter(|p| !p.as_os_str().is_empty())
+        {
+            create_dir_or_die(parent);
+        }
+        for (dir, files) in [(&telemetry_dir, "telemetry"), (&obs_dir, "observatory")] {
+            if dir.is_some() && !fiveg_simcore::telemetry::compiled() {
+                eprintln!(
+                    "warning: built without the `telemetry` feature — \
+                     {files} files will be empty"
+                );
+            }
+        }
+    };
     if let Some(cases) = stress_cases {
+        make_dirs();
         let mut cfg = stress::StressConfig {
             cases,
             seed: stress_seed,
@@ -1043,6 +924,7 @@ fn main() {
     }
 
     let registry = experiments::registry();
+    args.retain(|a| !a.is_empty());
     if args.is_empty() {
         println!("available experiments (run `figures all` or name them):");
         for (id, _) in &registry {
@@ -1055,20 +937,20 @@ fn main() {
         return;
     }
 
+    // Every named id must exist, even alongside `all`.
+    if let Some(a) = args
+        .iter()
+        .find(|a| *a != "all" && !registry.iter().any(|(id, _)| id == *a))
+    {
+        eprintln!("unknown experiment: {a}");
+        std::process::exit(2);
+    }
+    make_dirs();
     let entries: Vec<(&'static str, experiments::Experiment)> = if args.iter().any(|a| a == "all") {
         registry
     } else {
         args.iter()
-            .map(|a| {
-                registry
-                    .iter()
-                    .find(|(id, _)| id == a)
-                    .copied()
-                    .unwrap_or_else(|| {
-                        eprintln!("unknown experiment: {a}");
-                        std::process::exit(2);
-                    })
-            })
+            .filter_map(|a| registry.iter().find(|(id, _)| id == a).copied())
             .collect()
     };
 

@@ -724,6 +724,7 @@ pub fn scan_dir(root: &Path) -> std::io::Result<Vec<MetricCall>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fiveg_simcore::attempt::{self, AttemptSpec};
     use fiveg_simcore::telemetry::{self, SpanEvent};
 
     fn synthetic() -> AttemptTelemetry {
@@ -810,7 +811,10 @@ mod tests {
     #[test]
     fn metrics_json_is_deterministic_and_annotated() {
         let per = || {
-            let _g = telemetry::collect();
+            let _g = attempt::install(AttemptSpec {
+                telemetry: true,
+                ..AttemptSpec::default()
+            });
             telemetry::clock(0.0);
             {
                 let _sp = telemetry::span("radio/drive");
@@ -819,7 +823,8 @@ mod tests {
             telemetry::count("radio/rlf", 2);
             telemetry::observe("rrc/delay_ms", 80.0);
             telemetry::series("radio/rsrp_dbm_t", 1.0, -90.0);
-            vec![("fig9".to_string(), telemetry::drain())]
+            let t = attempt::drain().telemetry.expect("telemetry requested");
+            vec![("fig9".to_string(), t)]
         };
         let a = campaign_metrics(2021, None, &per()).render();
         let b = campaign_metrics(2021, None, &per()).render();

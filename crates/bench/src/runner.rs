@@ -31,12 +31,13 @@ use crate::experiments::Experiment;
 use crate::json::Json;
 use crate::report::Report;
 use crate::shard::{self, ShardableExperiment};
+use fiveg_simcore::attempt::{self, AttemptSpec, Drained};
 use fiveg_simcore::cancel::{self, CancelToken};
 use fiveg_simcore::faults::{FaultScenario, FaultSchedule};
-use fiveg_simcore::guard::{self, AttemptGuards, GuardPolicy};
+use fiveg_simcore::guard::{AttemptGuards, GuardPolicy};
 use fiveg_simcore::recovery::{self, RecoveryEvent, RecoverySummary};
-use fiveg_simcore::telemetry::{self, AttemptTelemetry};
-use fiveg_simcore::{ambient, budget, RngStream};
+use fiveg_simcore::telemetry::AttemptTelemetry;
+use fiveg_simcore::RngStream;
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -362,11 +363,11 @@ impl Supervisor {
     ///
     /// Determinism contract: each experiment's world is a pure function of
     /// `(id, campaign seed, attempt)` — [`Supervisor::attempt_seed`] draws
-    /// from no shared RNG, and every attempt installs its own thread-local
-    /// fault/recovery/budget planes on a fresh attempt thread
-    /// ([`fiveg_simcore::ambient::install_schedule`]). Workers therefore
-    /// cannot observe each other, and the returned vector — and any
-    /// manifest rendered from it — is byte-identical to a serial run.
+    /// from no shared RNG, and every attempt installs its own attempt
+    /// context on a fresh attempt thread ([`fiveg_simcore::attempt`]).
+    /// Workers therefore cannot observe each other, and the returned
+    /// vector — and any manifest rendered from it — is byte-identical to a
+    /// serial run.
     ///
     /// Every entry gets an outcome, even under interrupt: once
     /// [`Supervisor::interrupt`] flips, the units the pool still claims
@@ -549,10 +550,10 @@ impl Supervisor {
     }
 
     /// One supervised attempt of `body`, the only place an attempt runs:
-    /// spawn a fresh thread named `thread_name`, install the ambient planes
+    /// spawn a fresh thread named `thread_name`, install the attempt context
     /// there (`schedule`, this supervisor's budget, telemetry and guard
     /// policy, and a deadline-bearing cancellation token), run the body
-    /// under `catch_unwind`, drain the planes, and supervise the thread
+    /// under `catch_unwind`, drain the context, and supervise the thread
     /// until it reports or the escalation ladder gives up on it. Whole
     /// experiments pass the schedule generated from their data seed, shards
     /// the one from [`crate::shard::shard_plane_seed`], and the stress
@@ -569,36 +570,24 @@ impl Supervisor {
     {
         let (tx, rx) = mpsc::channel();
         let token = Arc::new(CancelToken::with_deadline(Instant::now() + self.deadline));
-        let attempt_token = Arc::clone(&token);
-        let (event_budget, telemetry_on, guards) = (self.event_budget, self.telemetry, self.guards);
+        let spec = AttemptSpec {
+            schedule,
+            event_budget: self.event_budget,
+            telemetry: self.telemetry,
+            guards: self.guards,
+            cancel: Arc::clone(&token),
+        };
         let spawned = std::thread::Builder::new()
             .name(thread_name)
             .spawn(move || {
-                // Thread-locals start clean on a fresh thread; install the
-                // fault plane, the recovery collector (only alongside a
-                // schedule, so fault-free campaigns report zero recovery
-                // events by construction), the telemetry collector (only
-                // when the supervisor asks), the invariant guard collector
-                // (under the supervisor's policy), arm the budget, and arm
-                // the cancellation token — all for this attempt only. They
-                // uninstall when `_ambient` drops, and are drained on both
-                // outcomes, so a panicked attempt's half-filled collectors
-                // never outlive it.
-                let _ambient = ambient::install_schedule(
-                    schedule,
-                    event_budget,
-                    telemetry_on,
-                    guards,
-                    Some(attempt_token),
-                );
+                // Thread-locals start clean on a fresh thread; the context
+                // lives for this attempt only, tears down when `_ctx`
+                // drops, and is drained on both outcomes, so a panicked
+                // attempt's half-filled collectors never outlive it.
+                let _ctx = attempt::install(spec);
                 let result = std::panic::catch_unwind(body)
                     .map_err(|payload| Failure::Panic(panic_message(payload.as_ref())));
-                let drained = Drained {
-                    recovery: recovery::drain(),
-                    events: budget::consumed().unwrap_or(0),
-                    telemetry: telemetry_on.then(telemetry::drain),
-                    guards: guard::drain(),
-                };
+                let drained = attempt::drain();
                 let _ = tx.send(Attempt { result, drained });
             });
         match spawned {
@@ -754,17 +743,8 @@ pub(crate) enum Failure {
     Died(String),
 }
 
-/// Everything drained from an attempt thread's ambient planes.
-#[derive(Default)]
-pub(crate) struct Drained {
-    pub(crate) recovery: Vec<RecoveryEvent>,
-    pub(crate) events: u64,
-    pub(crate) telemetry: Option<AttemptTelemetry>,
-    pub(crate) guards: AttemptGuards,
-}
-
 /// One supervised attempt: the payload or how it failed, plus what its
-/// planes drained (on either outcome; empty when the thread never
+/// context drained (on either outcome; empty when the thread never
 /// reported).
 pub(crate) struct Attempt<T> {
     pub(crate) result: Result<T, Failure>,
@@ -1318,7 +1298,7 @@ pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fiveg_simcore::faults;
+    use fiveg_simcore::{budget, faults, guard, telemetry};
 
     fn ok_exp(seed: u64) -> Report {
         Report {
@@ -2006,22 +1986,23 @@ mod tests {
                 fiveg_simcore::budget::charge(1_000);
                 panic!("first attempt dies with dirty planes");
             }
-            // The retry must see freshly-installed, empty planes: nothing
-            // recorded by the panicked attempt may leak across.
-            let rec = recovery::drain();
+            // The retry must see a freshly-installed, empty context:
+            // nothing recorded by the panicked attempt may leak across.
+            assert!(
+                fiveg_simcore::budget::consumed() == Some(0),
+                "retry inherited budget consumption"
+            );
+            let drained = attempt::drain();
+            let rec = drained.recovery;
             assert!(rec.is_empty(), "retry inherited recovery events: {rec:?}");
-            let telem = telemetry::drain();
+            let telem = drained.telemetry.expect("telemetry requested");
             assert!(
                 telem.counters.iter().all(|(n, _)| *n != "test/poison"),
                 "retry inherited telemetry: {:?}",
                 telem.counters
             );
-            let guards = guard::drain();
+            let guards = drained.guards;
             assert!(guards.is_clean(), "retry inherited guard state: {guards:?}");
-            assert!(
-                fiveg_simcore::budget::consumed() == Some(0),
-                "retry inherited budget consumption"
-            );
             Report {
                 id: "poison",
                 title: "clean".into(),

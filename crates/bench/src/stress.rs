@@ -15,8 +15,8 @@
 //!
 //! Everything here is deterministic by construction: cases are pure
 //! functions of `(stress seed, case index)`, each case runs through the
-//! supervised runner's attempt executor, which installs its ambient planes
-//! ([`fiveg_simcore::ambient::install_schedule`] — so a shrunk, hand-edited
+//! supervised runner's attempt executor, which installs its attempt
+//! context ([`fiveg_simcore::attempt::install`] — so a shrunk, hand-edited
 //! schedule installs exactly like a generated one), and the summary table
 //! carries sim-side facts only (no wall-clock), so two runs of the same
 //! seed produce byte-identical `stress.txt` files.

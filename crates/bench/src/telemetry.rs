@@ -328,6 +328,7 @@ pub fn summary(total: &AttemptTelemetry, runner: &RunnerStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fiveg_simcore::attempt::{self, AttemptSpec};
     use fiveg_simcore::telemetry::{self, GaugeStat, Histogram, SpanEvent, SpanStat};
 
     fn sample() -> AttemptTelemetry {
@@ -446,7 +447,10 @@ mod tests {
             return;
         }
         let render = || {
-            let _g = telemetry::collect();
+            let _g = attempt::install(AttemptSpec {
+                telemetry: true,
+                ..AttemptSpec::default()
+            });
             telemetry::clock(0.0);
             {
                 let _s = telemetry::span("test/outer");
@@ -454,7 +458,7 @@ mod tests {
                 telemetry::count("test/n", 2);
                 telemetry::observe("test/v", 3.5);
             }
-            let t = telemetry::drain();
+            let t = attempt::drain().telemetry.expect("telemetry requested");
             (jsonl(&t), chrome_trace("x", &t))
         };
         let (a_jsonl, a_trace) = render();

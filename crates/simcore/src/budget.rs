@@ -1,54 +1,24 @@
 //! Event-count budgets for supervised experiment runs.
 //!
-//! The supervised runner in `fiveg-bench` arms a per-thread budget before an
-//! experiment starts; hot simulation loops [`charge`] it once per step or
-//! scheduled event. An experiment that spins (a stuck clock, a fault schedule
-//! that wedges a loop) exhausts the budget and panics with a recognizable
-//! message, which the runner's `catch_unwind` converts into a `degraded`
-//! report instead of a hung campaign.
+//! The supervised runner in `fiveg-bench` arms a per-attempt budget through
+//! [`crate::attempt::install`]; hot simulation loops [`charge`] it once per
+//! step or scheduled event. An experiment that spins (a stuck clock, a
+//! fault schedule that wedges a loop) exhausts the budget and panics with a
+//! recognizable message, which the runner's `catch_unwind` converts into a
+//! `degraded` report instead of a hung campaign.
 //!
 //! With no budget armed — the default everywhere outside the supervised
 //! runner — [`charge`] is a thread-local load and a branch.
 
-use std::cell::Cell;
-
-thread_local! {
-    /// Remaining events; `u64::MAX` means "no budget armed".
-    static REMAINING: Cell<u64> = const { Cell::new(u64::MAX) };
-    /// The amount armed, so [`consumed`] can report events charged so far;
-    /// `u64::MAX` means "no budget armed". Never read on the `charge` hot
-    /// path.
-    static ARMED: Cell<u64> = const { Cell::new(u64::MAX) };
-}
+use crate::attempt::HOT;
 
 /// Panic message prefix on budget exhaustion; the supervised runner matches
 /// on it to label the failure.
 pub const EXHAUSTED_MSG: &str = "simcore::budget exhausted";
 
-/// Disarms the budget when dropped.
-#[must_use = "the budget disarms when this guard drops"]
-pub struct BudgetGuard {
-    _private: (),
-}
-
-impl Drop for BudgetGuard {
-    fn drop(&mut self) {
-        REMAINING.with(|r| r.set(u64::MAX));
-        ARMED.with(|a| a.set(u64::MAX));
-    }
-}
-
-/// Arms a budget of `events` on this thread; the previous budget (if any)
-/// is replaced. Disarms when the guard drops.
-pub fn arm(events: u64) -> BudgetGuard {
-    REMAINING.with(|r| r.set(events));
-    ARMED.with(|a| a.set(events));
-    BudgetGuard { _private: () }
-}
-
 /// Charges `n` events against the armed budget, then lets the
-/// cancellation plane observe the charge (`crate::cancel::observe` — one
-/// extra thread-local load and branch when no token is armed).
+/// cancellation plane observe the charge (`crate::cancel::observe_on`) —
+/// both in one thread-local lookup.
 ///
 /// # Panics
 ///
@@ -58,18 +28,17 @@ pub fn arm(events: u64) -> BudgetGuard {
 /// armed.
 #[inline]
 pub fn charge(n: u64) {
-    REMAINING.with(|r| {
-        let left = r.get();
-        if left == u64::MAX {
-            return;
+    HOT.with(|h| {
+        let left = h.budget_left.get();
+        if left != u64::MAX {
+            if left < n {
+                h.budget_left.set(0);
+                panic!("{EXHAUSTED_MSG}: experiment exceeded its event budget");
+            }
+            h.budget_left.set(left - n);
         }
-        if left < n {
-            r.set(0);
-            panic!("{EXHAUSTED_MSG}: experiment exceeded its event budget");
-        }
-        r.set(left - n);
+        crate::cancel::observe_on(h, n);
     });
-    crate::cancel::observe(n);
 }
 
 /// Events charged against the armed budget so far, or `None` when no
@@ -77,29 +46,29 @@ pub fn charge(n: u64) {
 /// finishes to report event throughput (events/sec) for the campaign's
 /// perf baseline.
 pub fn consumed() -> Option<u64> {
-    let armed = ARMED.with(Cell::get);
-    if armed == u64::MAX {
-        return None;
-    }
-    let left = REMAINING.with(Cell::get);
-    Some(armed.saturating_sub(left))
+    HOT.with(|h| {
+        let armed = h.budget_armed.get();
+        (armed != u64::MAX).then(|| armed.saturating_sub(h.budget_left.get()))
+    })
 }
 
 /// Remaining events, or `None` when no budget is armed.
 pub fn remaining() -> Option<u64> {
-    REMAINING.with(|r| {
-        let left = r.get();
-        if left == u64::MAX {
-            None
-        } else {
-            Some(left)
-        }
-    })
+    let left = HOT.with(|h| h.budget_left.get());
+    (left != u64::MAX).then_some(left)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attempt::{self, AttemptSpec};
+
+    fn arm(events: u64) -> attempt::AttemptGuard {
+        attempt::install(AttemptSpec {
+            event_budget: events,
+            ..AttemptSpec::default()
+        })
+    }
 
     #[test]
     fn unarmed_charge_is_free() {

@@ -1,14 +1,14 @@
 //! The cooperative cancellation plane: a shared per-attempt token that the
 //! budget hot path observes, so a supervised experiment can be *asked* to
-//! die — and actually unwind, drain its ambient planes, and exit — instead
-//! of being abandoned to spin on a leaked thread.
+//! die — and actually unwind, tear down its attempt context, and exit —
+//! instead of being abandoned to spin on a leaked thread.
 //!
 //! The contract mirrors the fault/telemetry/guard planes:
 //!
 //! * a [`CancelToken`] is shared between the supervising thread (which
 //!   holds an `Arc` and may call [`CancelToken::kill`]) and the attempt
-//!   thread (which arms it thread-locally via [`arm`], usually through
-//!   `ambient::install_schedule`);
+//!   thread (which arms it as part of its attempt context, through
+//!   [`crate::attempt::install`]);
 //! * [`observe`] sits on the existing `budget::charge` thread-local hot
 //!   path. Disarmed — the default everywhere outside the supervised
 //!   runner — it is one thread-local load and a branch, and it **never
@@ -22,16 +22,17 @@
 //! * when the token is killed (or its deadline has passed), the next poll
 //!   panics with [`CANCELLED_MSG`]. The attempt's `catch_unwind` converts
 //!   that into a failed attempt whose thread runs every destructor —
-//!   ambient planes uninstall, collectors drain — and then exits.
+//!   the attempt context tears down, collectors drain — and then exits.
 //!
 //! A thread that never charges the budget can never observe a kill; the
 //! supervisor's escalation ladder (cancel → grace period → abandon with a
 //! leak report) exists precisely for that case.
 
-use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
+
+use crate::attempt::{Hot, COLD, HOT};
 
 /// Panic message prefix raised by a poll that observes a kill; the
 /// supervised runner and the stress classifier both match on it.
@@ -122,47 +123,14 @@ impl Default for CancelToken {
     }
 }
 
-thread_local! {
-    /// Events until the next poll; `u64::MAX` means "no token armed" (the
-    /// single load-and-branch the disarmed hot path pays).
-    static UNTIL_POLL: Cell<u64> = const { Cell::new(u64::MAX) };
-    /// Exact events charged since the token was armed.
-    static CHARGED: Cell<u64> = const { Cell::new(0) };
-    /// The armed token; touched only at poll boundaries and (un)install.
-    static TOKEN: RefCell<Option<Arc<CancelToken>>> = const { RefCell::new(None) };
-}
-
-/// Disarms the thread's cancellation token when dropped.
-#[must_use = "the cancellation token disarms when this guard drops"]
-pub struct CancelGuard {
-    _private: (),
-}
-
-impl Drop for CancelGuard {
-    fn drop(&mut self) {
-        TOKEN.with(|t| *t.borrow_mut() = None);
-        UNTIL_POLL.with(|u| u.set(u64::MAX));
-        CHARGED.with(|c| c.set(0));
-    }
-}
-
-/// Arms `token` on this thread; the previous token (if any) is replaced.
-/// Disarms when the guard drops.
-pub fn arm(token: Arc<CancelToken>) -> CancelGuard {
-    TOKEN.with(|t| *t.borrow_mut() = Some(token));
-    UNTIL_POLL.with(|u| u.set(POLL_INTERVAL));
-    CHARGED.with(|c| c.set(0));
-    CancelGuard { _private: () }
-}
-
 /// True iff a token is armed on this thread.
 pub fn armed() -> bool {
-    UNTIL_POLL.with(Cell::get) != u64::MAX
+    HOT.with(|h| h.until_poll.get()) != u64::MAX
 }
 
 /// Exact events charged against the armed token so far (0 when disarmed).
 pub fn charged() -> u64 {
-    CHARGED.with(Cell::get)
+    HOT.with(|h| h.charged.get())
 }
 
 /// Observes `n` charged events against the armed token. Called by
@@ -174,19 +142,24 @@ pub fn charged() -> u64 {
 /// killed or its deadline passed.
 #[inline]
 pub fn observe(n: u64) {
-    UNTIL_POLL.with(|u| {
-        let left = u.get();
-        if left == u64::MAX {
-            return;
-        }
-        CHARGED.with(|c| c.set(c.get().saturating_add(n)));
-        if left > n {
-            u.set(left - n);
-        } else {
-            u.set(POLL_INTERVAL);
-            poll();
-        }
-    });
+    HOT.with(|h| observe_on(h, n));
+}
+
+/// [`observe`] against an already looked-up attempt context, so
+/// `budget::charge` pays one thread-local lookup for both planes.
+#[inline]
+pub(crate) fn observe_on(h: &Hot, n: u64) {
+    let left = h.until_poll.get();
+    if left == u64::MAX {
+        return;
+    }
+    h.charged.set(h.charged.get().saturating_add(n));
+    if left > n {
+        h.until_poll.set(left - n);
+    } else {
+        h.until_poll.set(POLL_INTERVAL);
+        poll();
+    }
 }
 
 /// Polls the armed token now (also called every [`POLL_INTERVAL`] charged
@@ -195,11 +168,11 @@ pub fn observe(n: u64) {
 /// No-op when disarmed.
 #[cold]
 pub fn poll() {
-    let charged = CHARGED.with(Cell::get);
+    let charged = charged();
     // Decide inside the borrow, panic outside it: the unwind must never
     // tear through a live RefCell borrow of the thread-local slot.
-    let cancelled: Option<String> = TOKEN.with(|t| {
-        let slot = t.borrow();
+    let cancelled: Option<String> = COLD.with(|c| {
+        let slot = c.token.borrow();
         let token = slot.as_ref()?;
         token.progress.store(charged, Ordering::Release);
         if token.killed() {
@@ -228,7 +201,16 @@ pub fn is_cancel_panic(note: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attempt::{self, AttemptGuard, AttemptSpec};
+    use std::sync::Arc;
     use std::time::Duration;
+
+    fn arm(token: Arc<CancelToken>) -> AttemptGuard {
+        attempt::install(AttemptSpec {
+            cancel: token,
+            ..AttemptSpec::default()
+        })
+    }
 
     #[test]
     fn disarmed_observe_is_free() {

@@ -9,9 +9,10 @@
 //! points, following the same ambient-plane discipline as
 //! [`crate::telemetry`]:
 //!
-//! * a thread-local collector, installed per experiment attempt (by
-//!   `simcore::ambient::install_schedule`) and uninstalled when the guard
-//!   drops, so parallel campaign workers never share state;
+//! * a collector in the thread's attempt context, installed per
+//!   experiment attempt (by [`crate::attempt::install`]) and uninstalled
+//!   when the context's guard drops, so parallel campaign workers never
+//!   share state;
 //! * hooks that cost one thread-local boolean load when no collector is
 //!   installed, that **never mutate simulation state**, and that **never
 //!   draw randomness** — a guarded run's artifacts are byte-identical to
@@ -32,7 +33,7 @@
 //! off-path determinism guarantee at the build level too.
 
 #[cfg(feature = "guards")]
-use std::cell::{Cell, RefCell};
+use crate::attempt::{COLD, HOT};
 
 /// Cap on buffered violations per attempt: a systematically broken
 /// invariant in a hot loop would otherwise buffer millions of identical
@@ -46,7 +47,8 @@ pub const VIOLATION_MSG: &str = "simcore::guard violation";
 /// What the collector does when a check fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GuardPolicy {
-    /// Buffer the violation for [`drain`]; the campaign default.
+    /// Buffer the violation for [`crate::attempt::drain`]; the campaign
+    /// default.
     #[default]
     Record,
     /// Buffer it and print it to stderr as it happens.
@@ -100,7 +102,8 @@ impl Violation {
     }
 }
 
-/// Everything one attempt's guard collector saw. Produced by [`drain`].
+/// Everything one attempt's guard collector saw. Produced by
+/// [`crate::attempt::drain`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct AttemptGuards {
     /// Buffered violations, in emission order (bounded by
@@ -125,13 +128,16 @@ impl AttemptGuards {
 }
 
 /// True when the crate was built with the `guards` feature; when false,
-/// every hook below is a compiled no-op and [`collect`] installs nothing.
+/// every hook below is a compiled no-op and an attempt's guard policy
+/// installs nothing.
 pub const fn compiled() -> bool {
     cfg!(feature = "guards")
 }
 
+/// The guard half of the attempt context: the policy and what the checks
+/// recorded so far.
 #[cfg(feature = "guards")]
-struct Collector {
+pub(crate) struct Collector {
     policy: GuardPolicy,
     violations: Vec<Violation>,
     dropped: u64,
@@ -139,48 +145,24 @@ struct Collector {
 }
 
 #[cfg(feature = "guards")]
-thread_local! {
-    /// Fast flag: true iff a collector is installed on this thread.
-    static ON: Cell<bool> = const { Cell::new(false) };
-    /// The installed collector.
-    static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
-}
-
-/// Uninstalls the thread's guard collector when dropped.
-#[must_use = "the guard collector uninstalls when this guard drops"]
-pub struct GuardsGuard {
-    _private: (),
-}
-
-impl Drop for GuardsGuard {
-    fn drop(&mut self) {
-        #[cfg(feature = "guards")]
-        {
-            COLLECTOR.with(|c| *c.borrow_mut() = None);
-            ON.with(|f| f.set(false));
+impl Collector {
+    pub(crate) const fn new(policy: GuardPolicy) -> Collector {
+        Collector {
+            policy,
+            violations: Vec::new(),
+            dropped: 0,
+            checks: 0,
         }
     }
-}
 
-/// Installs a fresh guard collector on this thread under `policy`,
-/// replacing any previous one. Uninstalls when the guard drops. With the
-/// `guards` feature compiled out this is a no-op guard.
-pub fn collect(policy: GuardPolicy) -> GuardsGuard {
-    #[cfg(feature = "guards")]
-    {
-        COLLECTOR.with(|c| {
-            *c.borrow_mut() = Some(Collector {
-                policy,
-                violations: Vec::new(),
-                dropped: 0,
-                checks: 0,
-            })
-        });
-        ON.with(|f| f.set(true));
+    /// Snapshots and clears the records, keeping the policy.
+    pub(crate) fn take(&mut self) -> AttemptGuards {
+        AttemptGuards {
+            violations: std::mem::take(&mut self.violations),
+            dropped: std::mem::take(&mut self.dropped),
+            checks: std::mem::take(&mut self.checks),
+        }
     }
-    #[cfg(not(feature = "guards"))]
-    let _ = policy;
-    GuardsGuard { _private: () }
 }
 
 /// True iff a collector is installed on this thread. The single load every
@@ -189,7 +171,7 @@ pub fn collect(policy: GuardPolicy) -> GuardsGuard {
 pub fn enabled() -> bool {
     #[cfg(feature = "guards")]
     {
-        ON.with(|f| f.get())
+        HOT.with(|h| h.guards.get())
     }
     #[cfg(not(feature = "guards"))]
     {
@@ -216,9 +198,8 @@ pub fn check(
         // The failing branch may panic (FailFast); build the violation
         // outside the RefCell borrow so an unwinding check can never leave
         // the collector poisoned for a later reinstall.
-        let violation = COLLECTOR.with(|c| {
-            let mut slot = c.borrow_mut();
-            let col = slot.as_mut()?;
+        let violation = COLD.with(|c| {
+            let col = &mut *c.guards.borrow_mut();
             col.checks += 1;
             if ok {
                 return None;
@@ -301,10 +282,9 @@ pub fn violation_count() -> u64 {
         if !enabled() {
             return 0;
         }
-        COLLECTOR.with(|c| {
-            c.borrow()
-                .as_ref()
-                .map_or(0, |col| col.violations.len() as u64 + col.dropped)
+        COLD.with(|c| {
+            let col = c.guards.borrow();
+            col.violations.len() as u64 + col.dropped
         })
     }
     #[cfg(not(feature = "guards"))]
@@ -313,31 +293,21 @@ pub fn violation_count() -> u64 {
     }
 }
 
-/// Snapshots and clears this thread's guard records. Returns an empty
-/// [`AttemptGuards`] when no collector is installed (or the feature is
-/// compiled out).
-pub fn drain() -> AttemptGuards {
-    #[cfg(feature = "guards")]
-    {
-        COLLECTOR
-            .with(|c| {
-                c.borrow_mut().as_mut().map(|col| AttemptGuards {
-                    violations: std::mem::take(&mut col.violations),
-                    dropped: std::mem::take(&mut col.dropped),
-                    checks: std::mem::take(&mut col.checks),
-                })
-            })
-            .unwrap_or_default()
-    }
-    #[cfg(not(feature = "guards"))]
-    {
-        AttemptGuards::default()
-    }
-}
-
 #[cfg(all(test, feature = "guards"))]
 mod tests {
     use super::*;
+    use crate::attempt::{self, AttemptGuard, AttemptSpec};
+
+    fn collect(policy: GuardPolicy) -> AttemptGuard {
+        attempt::install(AttemptSpec {
+            guards: Some(policy),
+            ..AttemptSpec::default()
+        })
+    }
+
+    fn drain() -> AttemptGuards {
+        attempt::drain().guards
+    }
 
     #[test]
     fn hooks_are_inert_without_a_collector() {

@@ -14,25 +14,30 @@
 //! * [`series::TimeSeries`] — timestamped samples with integration and
 //!   resampling, used for power traces (5 kHz "Monsoon" sampling) and
 //!   per-second throughput traces,
+//! * [`attempt`] — the attempt context: the only per-attempt thread-local
+//!   state (fault schedule, recovery/telemetry/guard collectors, event
+//!   budget, cancellation token), installed from one [`attempt::AttemptSpec`],
+//!   torn down by one guard and drained into one [`attempt::Drained`]; the
+//!   plane modules below hold only its hooks,
 //! * [`faults`] — a deterministic fault-injection plane: seeded, named
 //!   disruption events (cell outages, blockage storms, RRC resets, loss
-//!   bursts, …) that components consult through a thread-local ambient
+//!   bursts, …) that components consult through the attempt's ambient
 //!   schedule, off by default and free when off,
-//! * [`budget`] — per-thread event budgets so a supervised runner can kill
+//! * [`budget`] — per-attempt event budgets so a supervised runner can kill
 //!   runaway experiments deterministically,
 //! * [`cancel`] — the cooperative cancellation plane: a per-attempt shared
 //!   token (kill flag + optional deadline) observed from the budget hot
 //!   path, so a supervising thread can ask an experiment to unwind and
 //!   actually exit instead of abandoning its thread; bit-identical and one
 //!   branch when disarmed,
-//! * [`recovery`] — the reaction side of the fault plane: a thread-local
+//! * [`recovery`] — the reaction side of the fault plane: a per-attempt
 //!   collector of structured recovery events (link re-establishments, TCP
 //!   RTOs, segment retries, interface failovers, …) emitted by the stack's
 //!   self-healing hooks and aggregated into per-experiment resilience
 //!   summaries,
 //! * [`telemetry`] — the deterministic observability plane: sim-time
 //!   spans (RAII enter/exit), counters, gauges, and fixed-bucket
-//!   histograms, installed per attempt like the other planes, bit-identical
+//!   histograms, collected per attempt like the other planes, bit-identical
 //!   off, and feature-gated (`telemetry`, on by default) for a provably
 //!   uninstrumented build,
 //! * [`guard`] — the runtime invariant plane: structural checks (value
@@ -45,7 +50,7 @@
 //! is a feature, because the "field" this workspace measures is itself a
 //! simulation that must be re-runnable bit-for-bit.
 
-pub mod ambient;
+pub mod attempt;
 pub mod budget;
 pub mod cancel;
 pub mod event;

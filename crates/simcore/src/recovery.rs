@@ -7,15 +7,14 @@
 //! web object wave timed out and retried — emits a [`RecoveryEvent`] into a
 //! thread-local collector, when one is installed.
 //!
-//! The collector follows the same ambient-plane discipline as the fault
-//! plane: installed per experiment thread by the supervised runner (only
-//! when a fault scenario is active), cleared when the guard drops, and a
-//! single thread-local boolean load when nothing is installed. Recording
-//! never draws randomness, so collection cannot perturb simulation output;
-//! with no collector installed the event stream is empty and the hook
-//! points cost one load.
+//! The collector is part of the attempt context ([`crate::attempt`]): on
+//! exactly when the attempt has a fault schedule, drained by
+//! [`crate::attempt::drain`], cleared when the context's guard drops.
+//! Recording never draws randomness, so collection cannot perturb
+//! simulation output; with no collector installed the event stream is
+//! empty and the hook points cost one thread-local boolean load.
 
-use std::cell::{Cell, RefCell};
+use crate::attempt::{COLD, HOT};
 
 /// The kinds of recovery action the stack can take, one per self-healing
 /// mechanism across the radio/RRC/transport/application layers.
@@ -112,39 +111,11 @@ pub struct RecoveryEvent {
     pub detail: String,
 }
 
-thread_local! {
-    /// Fast flag: true iff a collector is installed on this thread.
-    static COLLECT_ON: Cell<bool> = const { Cell::new(false) };
-    /// The installed collector.
-    static COLLECTOR: RefCell<Option<Vec<RecoveryEvent>>> = const { RefCell::new(None) };
-}
-
-/// Clears the ambient collector when dropped.
-#[must_use = "the collector uninstalls when this guard drops"]
-pub struct CollectorGuard {
-    _private: (),
-}
-
-impl Drop for CollectorGuard {
-    fn drop(&mut self) {
-        COLLECTOR.with(|c| *c.borrow_mut() = None);
-        COLLECT_ON.with(|f| f.set(false));
-    }
-}
-
-/// Installs an empty recovery collector on this thread. The previous
-/// collector (if any) is replaced. Uninstalls when the guard drops.
-pub fn collect() -> CollectorGuard {
-    COLLECTOR.with(|c| *c.borrow_mut() = Some(Vec::new()));
-    COLLECT_ON.with(|f| f.set(true));
-    CollectorGuard { _private: () }
-}
-
 /// True iff a collector is installed on this thread — one thread-local
 /// load, the cost of every hook point on the default path.
 #[inline]
 pub fn enabled() -> bool {
-    COLLECT_ON.with(|f| f.get())
+    HOT.with(|h| h.recovery.get())
 }
 
 /// Records one recovery event into the ambient collector; a no-op (one
@@ -162,28 +133,15 @@ pub fn record(
     if !enabled() {
         return;
     }
-    COLLECTOR.with(|c| {
-        if let Some(events) = c.borrow_mut().as_mut() {
-            events.push(RecoveryEvent {
-                t_s,
-                kind,
-                detect_s,
-                outage_s,
-                detail: detail(),
-            });
-        }
+    COLD.with(|c| {
+        c.recovery.borrow_mut().push(RecoveryEvent {
+            t_s,
+            kind,
+            detect_s,
+            outage_s,
+            detail: detail(),
+        })
     });
-}
-
-/// Takes every event collected so far, leaving the collector installed and
-/// empty. Returns an empty vector when no collector is installed.
-pub fn drain() -> Vec<RecoveryEvent> {
-    COLLECTOR.with(|c| {
-        c.borrow_mut()
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
-    })
 }
 
 /// Aggregate statistics over one experiment's recovery-event stream — the
@@ -271,6 +229,20 @@ pub fn summarize(events: &[RecoveryEvent]) -> RecoverySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attempt::{self, AttemptGuard, AttemptSpec};
+    use crate::faults::{FaultScenario, FaultSchedule};
+
+    /// A context whose quiet schedule turns the collector on.
+    fn collect() -> AttemptGuard {
+        attempt::install(AttemptSpec {
+            schedule: Some(FaultSchedule::generate(1, &FaultScenario::quiet())),
+            ..AttemptSpec::default()
+        })
+    }
+
+    fn drain() -> Vec<RecoveryEvent> {
+        attempt::drain().recovery
+    }
 
     #[test]
     fn record_without_collector_is_a_noop() {

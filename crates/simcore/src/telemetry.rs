@@ -9,9 +9,10 @@
 //! This module records exactly that, following the same ambient-plane
 //! discipline as [`crate::faults`] and [`crate::recovery`]:
 //!
-//! * a thread-local collector, installed per experiment attempt (by
-//!   `simcore::ambient::install_schedule`) and uninstalled when the guard
-//!   drops, so parallel campaign workers never share state;
+//! * a collector in the thread's attempt context, installed per
+//!   experiment attempt (by [`crate::attempt::install`]) and uninstalled
+//!   when the context's guard drops, so parallel campaign workers never
+//!   share state;
 //! * hooks that cost one thread-local boolean load when no collector is
 //!   installed, and that **never draw randomness**, so instrumentation can
 //!   not perturb simulation output — with the plane off, every manifest,
@@ -27,11 +28,12 @@
 //!
 //! Span events stream into a bounded buffer ([`MAX_EVENTS`]); counters,
 //! gauges, and histograms aggregate in place, so even 5 kHz power-rail
-//! sampling instruments cheaply. [`drain`] snapshots everything into an
-//! [`AttemptTelemetry`] with name-sorted aggregates for stable rendering.
+//! sampling instruments cheaply. [`crate::attempt::drain`] snapshots
+//! everything into an [`AttemptTelemetry`] with name-sorted aggregates for
+//! stable rendering.
 
 #[cfg(feature = "telemetry")]
-use std::cell::{Cell, RefCell};
+use crate::attempt::{COLD, HOT};
 
 /// Cap on buffered span events per attempt: enough for every figure's
 /// span volume, bounded so a pathological loop cannot eat the heap. Spans
@@ -467,8 +469,9 @@ impl Default for SeriesStat {
 }
 
 /// Everything one attempt recorded: the bounded span-event stream plus the
-/// name-sorted aggregates. Produced by [`drain`]; rendered by the bench
-/// crate into JSONL, Chrome `trace_event` files, and the campaign summary.
+/// name-sorted aggregates. Produced by [`crate::attempt::drain`]; rendered
+/// by the bench crate into JSONL, Chrome `trace_event` files, and the
+/// campaign summary.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct AttemptTelemetry {
     /// Span enter/exit events in emission order (bounded by [`MAX_EVENTS`]).
@@ -549,13 +552,15 @@ impl AttemptTelemetry {
 }
 
 /// True when the crate was built with the `telemetry` feature; when false,
-/// every hook below is a compiled no-op and [`collect`] installs nothing.
+/// every hook below is a compiled no-op and an attempt's telemetry flag
+/// installs nothing.
 pub const fn compiled() -> bool {
     cfg!(feature = "telemetry")
 }
 
+/// The telemetry half of the attempt context.
 #[cfg(feature = "telemetry")]
-struct Collector {
+pub(crate) struct Collector {
     events: Vec<SpanEvent>,
     dropped: u64,
     next_id: u64,
@@ -569,7 +574,7 @@ struct Collector {
 
 #[cfg(feature = "telemetry")]
 impl Collector {
-    fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Collector {
             events: Vec::new(),
             dropped: 0,
@@ -590,50 +595,38 @@ impl Collector {
             self.dropped += 1;
         }
     }
-}
 
-#[cfg(feature = "telemetry")]
-thread_local! {
-    /// Fast flag: true iff a collector is installed on this thread.
-    static ON: Cell<bool> = const { Cell::new(false) };
-    /// The installed collector.
-    static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
-}
-
-/// Uninstalls the thread's telemetry collector when dropped.
-#[must_use = "the telemetry collector uninstalls when this guard drops"]
-pub struct TelemetryGuard {
-    _private: (),
-}
-
-impl Drop for TelemetryGuard {
-    fn drop(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            COLLECTOR.with(|c| *c.borrow_mut() = None);
-            ON.with(|f| f.set(false));
-        }
+    /// Snapshots and clears everything recorded, resetting the span ids
+    /// and the clock. Aggregates come out sorted by name, so rendering the
+    /// result is deterministic.
+    pub(crate) fn take(&mut self) -> AttemptTelemetry {
+        let mut t = AttemptTelemetry {
+            events: std::mem::take(&mut self.events),
+            dropped_events: std::mem::take(&mut self.dropped),
+            spans: std::mem::take(&mut self.spans),
+            counters: std::mem::take(&mut self.counters),
+            gauges: std::mem::take(&mut self.gauges),
+            hists: std::mem::take(&mut self.hists),
+            series: std::mem::take(&mut self.series),
+        };
+        self.next_id = 0;
+        self.clock_s = 0.0;
+        t.spans.sort_by_key(|(n, _)| *n);
+        t.counters.sort_by_key(|(n, _)| *n);
+        t.gauges.sort_by_key(|(n, _)| *n);
+        t.hists.sort_by_key(|(n, _)| *n);
+        t.series.sort_by_key(|(n, _)| *n);
+        t
     }
-}
-
-/// Installs a fresh telemetry collector on this thread, replacing any
-/// previous one. Uninstalls when the guard drops. With the `telemetry`
-/// feature compiled out this is a no-op guard.
-pub fn collect() -> TelemetryGuard {
-    #[cfg(feature = "telemetry")]
-    {
-        COLLECTOR.with(|c| *c.borrow_mut() = Some(Collector::new()));
-        ON.with(|f| f.set(true));
-    }
-    TelemetryGuard { _private: () }
 }
 
 /// True iff a collector is installed on this thread. The single load every
 /// hook pays when telemetry is off.
+#[inline]
 pub fn enabled() -> bool {
     #[cfg(feature = "telemetry")]
     {
-        ON.with(|f| f.get())
+        HOT.with(|h| h.telemetry.get())
     }
     #[cfg(not(feature = "telemetry"))]
     {
@@ -642,11 +635,12 @@ pub fn enabled() -> bool {
 }
 
 #[cfg(feature = "telemetry")]
+#[inline]
 fn with_collector<R>(f: impl FnOnce(&mut Collector) -> R) -> Option<R> {
     if !enabled() {
         return None;
     }
-    COLLECTOR.with(|c| c.borrow_mut().as_mut().map(f))
+    Some(COLD.with(|c| f(&mut c.telemetry.borrow_mut())))
 }
 
 #[cfg(feature = "telemetry")]
@@ -666,6 +660,7 @@ fn agg<'a, T>(
 /// Advances this thread's simulated clock to `t_s` (component-local
 /// seconds). Spans opened afterwards enter at this time; spans dropped
 /// afterwards exit at it.
+#[inline]
 pub fn clock(t_s: f64) {
     #[cfg(feature = "telemetry")]
     with_collector(|c| c.clock_s = t_s);
@@ -674,6 +669,7 @@ pub fn clock(t_s: f64) {
 }
 
 /// The thread's current simulated clock (0 when no collector is installed).
+#[inline]
 pub fn now() -> f64 {
     #[cfg(feature = "telemetry")]
     {
@@ -719,6 +715,7 @@ impl Drop for SpanGuard {
 /// guard closes it (see [`SpanGuard`]). Call [`clock`] first to anchor the
 /// enter edge, and keep calling it inside the span so the exit edge lands
 /// at the simulated end time.
+#[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     #[cfg(feature = "telemetry")]
     {
@@ -746,6 +743,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// Records a span whose interval `[t0_s, t1_s]` was computed rather than
 /// lived through (e.g. a segment download duration): both edges plus the
 /// aggregate, without touching the thread clock.
+#[inline]
 pub fn span_closed(name: &'static str, t0_s: f64, t1_s: f64) {
     #[cfg(feature = "telemetry")]
     with_collector(|c| {
@@ -774,6 +772,7 @@ pub fn span_closed(name: &'static str, t0_s: f64, t1_s: f64) {
 }
 
 /// Adds `n` to counter `name`.
+#[inline]
 pub fn count(name: &'static str, n: u64) {
     #[cfg(feature = "telemetry")]
     with_collector(|c| *agg(&mut c.counters, name, || 0) += n);
@@ -784,6 +783,7 @@ pub fn count(name: &'static str, n: u64) {
 }
 
 /// Sets gauge `name` to `v`, tracking min/max/sample-count.
+#[inline]
 pub fn gauge(name: &'static str, v: f64) {
     #[cfg(feature = "telemetry")]
     with_collector(|c| {
@@ -805,6 +805,7 @@ pub fn gauge(name: &'static str, v: f64) {
 }
 
 /// Records `v` into histogram `name`.
+#[inline]
 pub fn observe(name: &'static str, v: f64) {
     #[cfg(feature = "telemetry")]
     with_collector(|c| agg(&mut c.hists, name, Histogram::new).observe(v));
@@ -818,6 +819,7 @@ pub fn observe(name: &'static str, v: f64) {
 /// Unlike [`gauge`], which keeps only last/min/max, a series preserves the
 /// *shape* over sim time (bin means), which the observatory renders as a
 /// sparkline and ROADMAP item 5 will consume as calibration features.
+#[inline]
 pub fn series(name: &'static str, t_s: f64, v: f64) {
     #[cfg(feature = "telemetry")]
     with_collector(|c| agg(&mut c.series, name, SeriesStat::new).observe(t_s, v));
@@ -827,43 +829,21 @@ pub fn series(name: &'static str, t_s: f64, v: f64) {
     }
 }
 
-/// Snapshots and clears this thread's collected telemetry. Aggregates come
-/// out sorted by name, so rendering the result is deterministic. Returns
-/// an empty [`AttemptTelemetry`] when no collector is installed (or the
-/// feature is compiled out).
-pub fn drain() -> AttemptTelemetry {
-    #[cfg(feature = "telemetry")]
-    {
-        with_collector(|c| {
-            let mut t = AttemptTelemetry {
-                events: std::mem::take(&mut c.events),
-                dropped_events: std::mem::take(&mut c.dropped),
-                spans: std::mem::take(&mut c.spans),
-                counters: std::mem::take(&mut c.counters),
-                gauges: std::mem::take(&mut c.gauges),
-                hists: std::mem::take(&mut c.hists),
-                series: std::mem::take(&mut c.series),
-            };
-            c.next_id = 0;
-            c.clock_s = 0.0;
-            t.spans.sort_by_key(|(n, _)| *n);
-            t.counters.sort_by_key(|(n, _)| *n);
-            t.gauges.sort_by_key(|(n, _)| *n);
-            t.hists.sort_by_key(|(n, _)| *n);
-            t.series.sort_by_key(|(n, _)| *n);
-            t
-        })
-        .unwrap_or_default()
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        AttemptTelemetry::default()
-    }
-}
-
 #[cfg(all(test, feature = "telemetry"))]
 mod tests {
     use super::*;
+    use crate::attempt::{self, AttemptGuard, AttemptSpec};
+
+    fn collect() -> AttemptGuard {
+        attempt::install(AttemptSpec {
+            telemetry: true,
+            ..AttemptSpec::default()
+        })
+    }
+
+    fn drain() -> AttemptTelemetry {
+        attempt::drain().telemetry.unwrap_or_default()
+    }
 
     #[test]
     fn hooks_are_inert_without_a_collector() {

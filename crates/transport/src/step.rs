@@ -230,7 +230,18 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fiveg_simcore::attempt::{self, AttemptSpec};
+    use fiveg_simcore::faults::{FaultScenario, FaultSchedule};
     use fiveg_simcore::guard::GuardPolicy;
+
+    /// An attempt context whose windowless schedule turns the recovery
+    /// collector on.
+    fn recovery_collector() -> attempt::AttemptGuard {
+        attempt::install(AttemptSpec {
+            schedule: Some(FaultSchedule::generate(1, &FaultScenario::quiet())),
+            ..AttemptSpec::default()
+        })
+    }
 
     /// Drives a timer through one stall window of `steps` 10 ms steps
     /// starting at `t0`; returns each non-pending outcome with its time.
@@ -246,7 +257,7 @@ mod tests {
 
     #[test]
     fn rto_doubles_from_the_floor_and_resets_once_per_stall() {
-        let _rec = recovery::collect();
+        let _rec = recovery_collector();
         // A 20 ms path sits under the 1 s floor.
         let mut rto = Rto::new(0.020, "", "windows");
         let fired = stall(&mut rto, 0.0, 7000);
@@ -269,7 +280,7 @@ mod tests {
                 Timeout::Backoff,
             ]
         );
-        let events = recovery::drain();
+        let events = attempt::drain().recovery;
         assert_eq!(events.len(), 7, "six RTOs plus one reset");
         assert_eq!(events[0].detail, "backoff #1, windows collapsed");
         assert_eq!(events[5].kind, RecoveryKind::TcpConnReset);
@@ -286,7 +297,7 @@ mod tests {
 
     #[test]
     fn rto_floor_tracks_long_paths_and_notes_carry_the_prefix() {
-        let _rec = recovery::collect();
+        let _rec = recovery_collector();
         // 2·RTT beats the 1 s floor on a 700 ms path.
         let mut rto = Rto::new(0.7, "bonded ", "pacing");
         assert_eq!(rto.on_stall(0.0), Timeout::Pending);
@@ -294,7 +305,7 @@ mod tests {
         assert_eq!(rto.on_stall(1.4), Timeout::Backoff);
         assert_eq!(rto.on_stall(4.19), Timeout::Pending);
         assert_eq!(rto.on_stall(4.2), Timeout::Backoff);
-        let events = recovery::drain();
+        let events = attempt::drain().recovery;
         assert_eq!(events[1].detail, "bonded backoff #2, pacing collapsed");
         assert_eq!(events[1].outage_s, 4.2);
         assert_eq!(events[1].detect_s, 2.8);
@@ -302,7 +313,10 @@ mod tests {
 
     #[test]
     fn ledger_flushes_a_partial_tail_as_a_rate() {
-        let _guards = guard::collect(GuardPolicy::Record);
+        let _guards = attempt::install(AttemptSpec {
+            guards: Some(GuardPolicy::Record),
+            ..AttemptSpec::default()
+        });
         // 2.5 s at 100 Mbps in 10 ms steps.
         let mut ledger = Ledger::new();
         let mut closed = 0;
@@ -317,7 +331,7 @@ mod tests {
             assert!((mbps - 100.0).abs() < 1e-6, "{per_second:?}");
         }
         assert!((mean - 100.0).abs() < 1e-6);
-        let guards = guard::drain();
+        let guards = attempt::drain().guards;
         assert!(guards.is_clean(), "{guards:?}");
         if guard::compiled() {
             assert!(guards.checks > 0, "the conservation guard ran");

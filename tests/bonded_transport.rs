@@ -14,7 +14,8 @@
 
 use fiveg_bench::experiments::{self, Experiment};
 use fiveg_bench::runner::{manifest_from_entries, ManifestEntry, RunStatus, Supervisor};
-use fiveg_wild::simcore::faults::{self, FaultScenario, FaultSchedule};
+use fiveg_wild::simcore::attempt::{self, AttemptGuard, AttemptSpec};
+use fiveg_wild::simcore::faults::{FaultScenario, FaultSchedule};
 use fiveg_wild::simcore::RngStream;
 use fiveg_wild::transport::bbr::{Bbr, BbrState, DRAIN_GAIN, PROBE_BW_GAINS, STARTUP_GAIN};
 use fiveg_wild::transport::nada::{Nada, RMAX_MBPS, RMIN_MBPS};
@@ -23,6 +24,15 @@ use fiveg_wild::transport::tcp::CcAlgo;
 use fiveg_wild::transport::{BondedConfig, BondedSim};
 
 const SEED: u64 = 2021;
+
+/// An attempt context carrying only `schedule` (and so its recovery
+/// collector).
+fn plane(schedule: FaultSchedule) -> AttemptGuard {
+    attempt::install(AttemptSpec {
+        schedule: Some(schedule),
+        ..AttemptSpec::default()
+    })
+}
 
 fn link(rtt_ms: f64, capacity_mbps: f64) -> PathModel {
     PathModel {
@@ -116,7 +126,7 @@ fn nada_rate_is_boxed_under_whipsaw_feedback() {
 #[test]
 fn bonded_run_survives_chaos_with_sane_outputs() {
     for algo in [CcAlgo::Nada, CcAlgo::Bbr] {
-        let _guard = faults::install(FaultSchedule::generate(SEED, &FaultScenario::chaos()));
+        let _guard = plane(FaultSchedule::generate(SEED, &FaultScenario::chaos()));
         let mut sim = BondedSim::new(
             BondedConfig::new(bonded_links(), algo),
             RngStream::new(SEED, "test/bond-chaos"),
@@ -142,7 +152,7 @@ fn bonded_run_survives_chaos_with_sane_outputs() {
 #[test]
 fn bonded_chaos_run_is_deterministic_and_distinct_from_quiet() {
     let run_under = |scenario: Option<&FaultScenario>| {
-        let _guard = scenario.map(|s| faults::install(FaultSchedule::generate(SEED, s)));
+        let _guard = scenario.map(|s| plane(FaultSchedule::generate(SEED, s)));
         let mut sim = BondedSim::new(
             BondedConfig::new(bonded_links(), CcAlgo::Nada),
             RngStream::new(SEED, "test/bond-determinism"),

@@ -5,8 +5,17 @@
 use fiveg_bench::experiments;
 use fiveg_bench::report::Report;
 use fiveg_bench::runner::{self, ManifestEntry, RunStatus, Supervisor};
-use fiveg_wild::simcore::faults::{self, FaultScenario, FaultSchedule};
+use fiveg_wild::simcore::attempt::{self, AttemptGuard, AttemptSpec};
+use fiveg_wild::simcore::faults::{FaultScenario, FaultSchedule};
 use fiveg_wild::simcore::recovery::{self, RecoveryKind};
+
+/// An attempt context carrying only `schedule` and its recovery collector.
+fn plane(schedule: FaultSchedule) -> AttemptGuard {
+    attempt::install(AttemptSpec {
+        schedule: Some(schedule),
+        ..AttemptSpec::default()
+    })
+}
 
 fn registry_entry(id: &str) -> (&'static str, experiments::Experiment) {
     experiments::registry()
@@ -87,13 +96,13 @@ fn disabled_plane_means_zero_events_and_identical_reports() {
     }
 }
 
-/// Recording without a collector is a no-op even when a fault plane *is*
-/// installed — only the supervised runner (with a scenario) collects.
+/// Recording with no attempt context installed is a no-op — only an
+/// attempt with a fault schedule collects.
 #[test]
-fn plane_without_collector_collects_nothing() {
-    let _guard = faults::install(FaultSchedule::generate(7, &FaultScenario::chaos()));
+fn record_without_attempt_context_collects_nothing() {
+    assert!(!recovery::enabled());
     recovery::record(RecoveryKind::TcpRto, 1.0, 0.5, 2.0, || "x".into());
-    assert!(recovery::drain().is_empty());
+    assert!(attempt::drain().recovery.is_empty());
 }
 
 /// The windowless `quiet` scenario is a true control: even with the plane
@@ -117,12 +126,12 @@ fn quiet_plane_never_trips_video_recovery() {
         stream(&asset, &trace, abr.as_mut(), &cfg, 0.0)
     };
     let quiet = {
-        let _g = faults::install(FaultSchedule::generate(3, &FaultScenario::quiet()));
-        let _c = recovery::collect();
+        let _g = plane(FaultSchedule::generate(3, &FaultScenario::quiet()));
+        assert!(recovery::enabled(), "a schedule brings the collector");
         let mut abr = build(AbrAlgo::Bola);
         let s = stream(&asset, &trace, abr.as_mut(), &cfg, 0.0);
         assert!(
-            recovery::drain().is_empty(),
+            attempt::drain().recovery.is_empty(),
             "natural stalls must not trigger recovery actions"
         );
         s
@@ -144,9 +153,7 @@ fn quiet_plane_never_declares_rlf() {
     use fiveg_wild::radio::cell::NetworkLayout;
     use fiveg_wild::radio::handoff::{simulate_drive, BandSetting, HandoffConfig};
     let run = |quiet: bool| {
-        let _g =
-            quiet.then(|| faults::install(FaultSchedule::generate(9, &FaultScenario::quiet())));
-        let _c = quiet.then(recovery::collect);
+        let _g = quiet.then(|| plane(FaultSchedule::generate(9, &FaultScenario::quiet())));
         let layout = NetworkLayout::tmobile_drive_corridor(9);
         let m = MobilityModel::driving_10km();
         let r = simulate_drive(
@@ -157,7 +164,10 @@ fn quiet_plane_never_declares_rlf() {
             9,
         );
         if quiet {
-            assert!(recovery::drain().is_empty(), "quiet drive recovered");
+            assert!(
+                attempt::drain().recovery.is_empty(),
+                "quiet drive recovered"
+            );
         }
         (r.total_handoffs(), r.radio_share())
     };
